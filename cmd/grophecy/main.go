@@ -28,7 +28,6 @@ import (
 	"grophecy/internal/experiments"
 	"grophecy/internal/fault"
 	"grophecy/internal/gpu"
-	"grophecy/internal/measure"
 	"grophecy/internal/metrics"
 	"grophecy/internal/obs"
 	"grophecy/internal/pcie"
@@ -100,10 +99,6 @@ func main() {
 			fatal(err)
 		}
 		backendName = b.Name()
-	}
-	if backendName != backend.DefaultName && !plan.Empty() {
-		fatal(fmt.Errorf("-backend %s and -faults are mutually exclusive (only %q calibrates resiliently)",
-			backendName, backend.DefaultName))
 	}
 
 	if *bkMatrix {
@@ -296,28 +291,28 @@ func printDiagnostics(machine *core.Machine, r core.Report) {
 	}
 }
 
-// buildProjector returns the clean projector for an empty fault plan
-// — calibrated through the named backend, bit-identical to the
-// paper's pipeline on the analytic default — or a resilient
-// (analytic-only) projector measuring through the armed fault layer
-// otherwise.
+// buildProjector calibrates the named backend on the machine. A
+// non-empty fault plan is armed first, which makes core.New calibrate
+// and measure resiliently through the fault layer; that path traces
+// its own calibration span.
 func buildProjector(ctx context.Context, machine *core.Machine, kind pcie.MemoryKind, backendName string, plan fault.Plan) (*core.Projector, error) {
-	if plan.Empty() {
-		cfg := xfermodel.DefaultCalibration()
-		cfg.Kind = kind
-		_, span := trace.Start(ctx, "xfermodel.calibrate",
-			trace.String("backend", backendName))
-		p, _, err := core.NewBackendProjector(ctx, machine, backendName, cfg)
-		if err == nil {
-			bm := p.BusModel()
-			span.SetAttr(trace.Int("transfers", int64(bm.CalibrationTransfers)))
-			span.SetAttr(trace.Float("bus_cost_s", bm.CalibrationCost))
-		}
-		span.End()
+	cfg := xfermodel.DefaultCalibration()
+	cfg.Kind = kind
+	if !plan.Empty() {
+		machine.ArmFaults(plan)
+		p, _, err := core.New(ctx, machine, backendName, cfg)
 		return p, err
 	}
-	machine.ArmFaults(plan)
-	return core.NewResilientProjector(ctx, machine, kind, measure.DefaultConfig())
+	_, span := trace.Start(ctx, "xfermodel.calibrate",
+		trace.String("backend", backendName))
+	p, _, err := core.New(ctx, machine, backendName, cfg)
+	if err == nil {
+		bm := p.BusModel()
+		span.SetAttr(trace.Int("transfers", int64(bm.CalibrationTransfers)))
+		span.SetAttr(trace.Float("bus_cost_s", bm.CalibrationCost))
+	}
+	span.End()
+	return p, err
 }
 
 // printResilience reports what the fault layer injected and what the
@@ -446,7 +441,9 @@ func runMatrix(ctx context.Context, w core.Workload, seed uint64) (string, error
 	targets := target.Default.List()
 	rows, err := sweep.RunCtx(ctx, len(targets), 0, func(i int) (report.MatrixRow, error) {
 		tgt := targets[i]
-		p, err := core.NewProjectorWith(tgt.Machine(seed), tgt.Memory)
+		cfg := xfermodel.DefaultCalibration()
+		cfg.Kind = tgt.Memory
+		p, _, err := core.New(ctx, tgt.Machine(seed), backend.DefaultName, cfg)
 		if err != nil {
 			return report.MatrixRow{}, fmt.Errorf("target %s: %w", tgt.Name, err)
 		}
@@ -472,7 +469,7 @@ func runBackendMatrix(ctx context.Context, tgt target.Target, seed uint64) (stri
 	cols, err := sweep.RunCtx(ctx, len(names), 0, func(i int) ([]core.Report, error) {
 		cfg := xfermodel.DefaultCalibration()
 		cfg.Kind = tgt.Memory
-		p, _, err := core.NewBackendProjector(ctx, tgt.Machine(seed), names[i], cfg)
+		p, _, err := core.New(ctx, tgt.Machine(seed), names[i], cfg)
 		if err != nil {
 			return nil, fmt.Errorf("backend %s: %w", names[i], err)
 		}

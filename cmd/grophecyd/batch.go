@@ -26,7 +26,6 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -34,21 +33,17 @@ import (
 	"math"
 	"net/http"
 	"strings"
-	"time"
 
 	"grophecy/internal/backend"
 	"grophecy/internal/batch/dag"
 	"grophecy/internal/bench"
 	"grophecy/internal/core"
 	"grophecy/internal/errdefs"
-	"grophecy/internal/flight"
 	"grophecy/internal/metrics"
 	"grophecy/internal/obs"
-	"grophecy/internal/report"
 	"grophecy/internal/sklang"
 	"grophecy/internal/target"
 	"grophecy/internal/telemetry"
-	"grophecy/internal/trace"
 )
 
 // Batch limits: the body cap bounds memory per request, the job cap
@@ -125,16 +120,17 @@ type resolvedJob struct {
 // jobOutcome is what one scheduled job produces — including jobs that
 // were skipped without running.
 type jobOutcome struct {
-	id        string
-	dependsOn []string
-	runID     string
-	report    []byte // raw report.JSON bytes; nil on failure
-	wl        string
-	tgt       string
-	backend   string
-	seed      uint64
-	speedup   float64 // projected full speedup; feeds fromParent selection
-	err       error
+	id           string
+	dependsOn    []string
+	runID        string
+	report       []byte // raw report.JSON bytes; nil on failure
+	wl           string
+	tgt          string
+	backend      string
+	seed         uint64
+	speedup      float64 // projected full speedup; feeds fromParent selection
+	degradations int     // fallbacks the resilient pipeline recorded
+	err          error
 }
 
 // resolve validates one job against the daemon's registry and
@@ -297,13 +293,13 @@ func wantsNDJSON(req *http.Request) bool {
 // are the request-level 400s; job failures carry their own error and
 // status on their row.
 func (s *server) handleBatch(w http.ResponseWriter, req *http.Request) {
-	start := time.Now()
 	ctx := obs.WithLogger(req.Context(), s.cfg.Logger)
 	lg := obs.Log(obs.WithPhase(ctx, "batch"))
+	event := telemetry.EventFrom(ctx)
 
 	fail := func(status int, err error) {
 		mRequestErrors.Inc()
-		lg.Error("batch request rejected", "status", status, "err", err.Error())
+		event.Set("err", err.Error())
 		writeError(w, status, err)
 	}
 
@@ -371,12 +367,12 @@ func (s *server) handleBatch(w http.ResponseWriter, req *http.Request) {
 					r.err = err
 				}
 			}
-			outcomes[i] = s.runJob(ctx, r)
+			outcomes[i] = s.run(ctx, r)
 			return outcomes[i].err
 		},
 		Done: func(i int, err error) {
 			// A pool-level error (worker panic, cancelled before its
-			// turn) reaches the row even though runJob never filled it.
+			// turn) reaches the row even though run never filled it.
 			if err != nil && outcomes[i].err == nil {
 				outcomes[i] = staticOutcome(resolved[i])
 				outcomes[i].err = err
@@ -420,17 +416,14 @@ func (s *server) handleBatch(w http.ResponseWriter, req *http.Request) {
 			mBatchJobFailures.Inc()
 		}
 	}
-	event := telemetry.EventFrom(ctx)
 	event.Set("jobs", len(jobs))
 	event.Set("succeeded", succeeded)
 	event.Set("failed", failed)
 	event.Set("skipped", skipped)
 	event.Set("dag_depth", g.Depth())
-	lg.Info("batch request served",
-		"jobs", len(jobs), "succeeded", succeeded, "failed", failed, "skipped", skipped,
-		"dag_depth", g.Depth(), "streamed", stream,
-		"cache_hits", s.pool.Hits()-hits0, "cache_misses", s.pool.Misses()-misses0,
-		"duration_ms", float64(time.Since(start).Microseconds())/1e3)
+	event.Set("streamed", stream)
+	event.Set("cache_hits", s.pool.Hits()-hits0)
+	event.Set("cache_misses", s.pool.Misses()-misses0)
 
 	if stream {
 		if writeErr == nil {
@@ -465,62 +458,6 @@ func staticOutcome(r resolvedJob) jobOutcome {
 		backend:   r.backend,
 		seed:      r.seed,
 	}
-}
-
-// runJob executes one resolved job: its own run ID, tracer, flight
-// record, and projection through the shared pool — exactly the
-// /project request lifecycle.
-func (s *server) runJob(ctx context.Context, r resolvedJob) jobOutcome {
-	out := jobOutcome{
-		id:        r.id,
-		dependsOn: r.dependsOn,
-		tgt:       r.tgt.Name,
-		backend:   r.backend,
-		seed:      r.seed,
-	}
-	if r.err != nil {
-		out.err = r.err
-		return out
-	}
-	out.wl = r.wl.Name
-
-	start := time.Now()
-	runID := obs.NewRunID()
-	out.runID = runID
-	ctx = obs.WithRun(ctx, runID)
-	ctx = obs.WithWorkload(ctx, r.wl.Name)
-	tracer := trace.New("grophecyd")
-	ctx = trace.With(ctx, tracer)
-
-	entry := flight.Entry{
-		ID:        runID,
-		Workload:  r.wl.Name,
-		DataSize:  r.wl.DataSize,
-		Source:    r.src,
-		Seed:      r.seed,
-		JobID:     r.id,
-		DependsOn: r.dependsOn,
-		Start:     start,
-		// Batch jobs share the request's wall tracer: every row's
-		// walltrace endpoint replays the whole request trace.
-		WallTrace: telemetry.FromContext(ctx),
-	}
-	rep, err := s.project(ctx, r.tgt, r.backend, r.seed, r.wl)
-	tracer.Close()
-	entry.Trace = tracer
-	entry.Duration = time.Since(start)
-	if err != nil {
-		entry.Err = err.Error()
-		s.recorder.Add(entry)
-		out.err = err
-		return out
-	}
-	entry.Report = rep
-	s.recorder.Add(entry)
-
-	out.speedup = rep.SpeedupFull()
-	out.report, out.err = report.JSON(rep)
-	return out
 }
 
 // batchRow is the metadata half of one response row; the report bytes

@@ -48,6 +48,12 @@ func (w *syncWriter) String() string {
 	return w.buf.String()
 }
 
+func (w *syncWriter) Reset() {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.buf.Reset()
+}
+
 // startDaemon wires a server at the default seed, runs the startup
 // calibration, and serves it over httptest.
 func startDaemon(t *testing.T, cfg daemonConfig) (*httptest.Server, *server, *syncWriter) {
@@ -646,6 +652,31 @@ func TestDaemonWithFaults(t *testing.T) {
 	}
 	if s.pool.Misses() != missesBefore {
 		t.Fatal("fault-armed request went through the calibration cache")
+	}
+}
+
+// TestDaemonFaultsRejectNonAnalyticBackend: under a fault plan only
+// the analytic backend calibrates resiliently. A /project for another
+// backend is a 400, and in a /batch it is a 400 row that leaves its
+// neighbours running.
+func TestDaemonFaultsRejectNonAnalyticBackend(t *testing.T) {
+	srv, _, _ := startDaemon(t, daemonConfig{FaultSpec: "transient=0.02"})
+	resp, body := post(t, srv.URL+"/project?backend=fitted", hotspotSource(t))
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("POST /project?backend=fitted under faults: %d, want 400\n%s", resp.StatusCode, body)
+	}
+
+	resp, doc, raw := postBatch(t, srv.URL, `[
+		{"workload":"HotSpot","size":"1024 x 1024","backend":"piecewise"},
+		{"workload":"HotSpot","size":"1024 x 1024"}]`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST /batch under faults: %d\n%s", resp.StatusCode, raw)
+	}
+	if got := doc.Jobs[0].Status; got != http.StatusBadRequest {
+		t.Errorf("piecewise job under faults: status %d, want 400 (%s)", got, doc.Jobs[0].Error)
+	}
+	if got := doc.Jobs[1].Status; got != http.StatusOK {
+		t.Errorf("analytic job under faults: status %d, want 200 (%s)", got, doc.Jobs[1].Error)
 	}
 }
 

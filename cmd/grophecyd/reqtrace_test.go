@@ -5,6 +5,7 @@ package main
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -109,11 +110,33 @@ func TestTraceparentPropagation(t *testing.T) {
 	}
 }
 
-// TestWideEvent: every request emits exactly one canonical "request"
-// log record carrying the trace ID, tenant, outcome, and per-stage
-// milliseconds.
+// infoRecords parses the test daemon's JSON log. startDaemon's logger
+// is at Info level, so every record it holds is Info or higher.
+func infoRecords(t *testing.T, logs *syncWriter) []map[string]any {
+	t.Helper()
+	var out []map[string]any
+	for _, line := range strings.Split(strings.TrimSpace(logs.String()), "\n") {
+		if line == "" {
+			continue
+		}
+		var doc map[string]any
+		if err := json.Unmarshal([]byte(line), &doc); err != nil {
+			t.Fatalf("log line is not JSON: %v", err)
+		}
+		out = append(out, doc)
+	}
+	return out
+}
+
+// TestWideEvent: every request emits exactly one Info-or-higher log
+// record, the canonical "request" wide event, carrying the trace ID,
+// tenant, outcome, per-stage milliseconds, and the projection's
+// outcome fields. The response body is read to EOF before the log is:
+// the wide event is logged before ServeHTTP returns, and the final
+// bytes of the response go out only after it returns.
 func TestWideEvent(t *testing.T) {
 	srv, _, logs := startDaemon(t, daemonConfig{})
+	logs.Reset()
 	req, err := http.NewRequest("POST", srv.URL+"/project", strings.NewReader(hotspotSource(t)))
 	if err != nil {
 		t.Fatal(err)
@@ -123,25 +146,18 @@ func TestWideEvent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+		t.Fatal(err)
+	}
 	resp.Body.Close()
 
-	var wide map[string]any
-	count := 0
-	for _, line := range strings.Split(strings.TrimSpace(logs.String()), "\n") {
-		var doc map[string]any
-		if err := json.Unmarshal([]byte(line), &doc); err != nil {
-			t.Fatalf("log line is not JSON: %v", err)
-		}
-		if doc["msg"] == "request" {
-			wide = doc
-			count++
-		}
+	recs := infoRecords(t, logs)
+	if len(recs) != 1 || recs[0]["msg"] != "request" {
+		t.Fatalf("POST /project wrote %d Info-or-higher records, want exactly one wide event: %v", len(recs), recs)
 	}
-	if count != 1 {
-		t.Fatalf("%d wide events, want exactly 1", count)
-	}
+	wide := recs[0]
 	for _, key := range []string{"trace_id", "tenant", "status", "duration_ms",
-		"run", "workload", "seed", "queue_depth",
+		"run", "workload", "seed", "queue_depth", "speedup_full", "degradations",
 		"ms.queue.wait", "ms.stage.kernels", "ms.stage.assemble"} {
 		if _, ok := wide[key]; !ok {
 			t.Errorf("wide event missing %q: %v", key, wide)
@@ -152,6 +168,22 @@ func TestWideEvent(t *testing.T) {
 	}
 	if wide["status"] != float64(http.StatusOK) {
 		t.Errorf("wide event status %v", wide["status"])
+	}
+
+	logs.Reset()
+	resp, _ = post(t, srv.URL+"/batch",
+		`[{"workload":"HotSpot","size":"1024 x 1024"},{"workload":"CFD","size":"233K"}]`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST /batch: %d", resp.StatusCode)
+	}
+	recs = infoRecords(t, logs)
+	if len(recs) != 1 || recs[0]["msg"] != "request" {
+		t.Fatalf("two-job POST /batch wrote %d Info-or-higher records, want exactly one wide event: %v", len(recs), recs)
+	}
+	for _, key := range []string{"jobs", "succeeded", "streamed", "cache_hits", "cache_misses"} {
+		if _, ok := recs[0][key]; !ok {
+			t.Errorf("batch wide event missing %q: %v", key, recs[0])
+		}
 	}
 }
 

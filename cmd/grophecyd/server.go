@@ -25,7 +25,6 @@ import (
 	"grophecy/internal/errdefs"
 	"grophecy/internal/fault"
 	"grophecy/internal/flight"
-	"grophecy/internal/measure"
 	"grophecy/internal/metrics"
 	"grophecy/internal/obs"
 	"grophecy/internal/pcie"
@@ -36,6 +35,7 @@ import (
 	"grophecy/internal/target"
 	"grophecy/internal/telemetry"
 	"grophecy/internal/trace"
+	"grophecy/internal/xfermodel"
 )
 
 // Request-level instruments. Unlike every other instrument in the
@@ -342,26 +342,22 @@ func (s *server) saveSnapshot() error {
 	return s.store.SaveAll(out)
 }
 
-// newProjector returns a ready projector for one request: from the
-// calibration cache for the clean pipeline — concurrent requests to
-// the same (target, backend, seed) share one calibration — or a
-// per-request resilient calibration through the armed fault layer
-// otherwise (fault streams are stateful, so resilient runs are never
-// shared). The fault path is analytic-only: resilient calibration is
-// defined in terms of the paper's two-point model, so non-default
-// backends are rejected rather than silently downgraded.
+// newProjector returns a ready projector for one run: from the
+// calibration pool on a clean daemon — concurrent runs for the same
+// (target, backend, seed) share one calibration — or, under a fault
+// plan, calibrated per run on a machine armed with it (fault streams
+// are stateful, so faulted runs are never shared). core.New decides
+// which backends the faulted path accepts.
 func (s *server) newProjector(ctx context.Context, tgt target.Target, backendName string, seed uint64) (*core.Projector, error) {
 	if s.plan.Empty() {
 		return s.pool.Projector(ctx, tgt, backendName, seed, tgt.Memory)
 	}
-	if backendName != "" && backendName != backend.DefaultName {
-		return nil, errdefs.Invalidf(
-			"grophecyd: backend %q is unavailable under fault injection (only %q calibrates resiliently)",
-			backendName, backend.DefaultName)
-	}
 	m := tgt.Machine(seed)
 	m.ArmFaults(s.plan)
-	return core.NewResilientProjector(ctx, m, tgt.Memory, measure.DefaultConfig())
+	cfg := xfermodel.DefaultCalibration()
+	cfg.Kind = tgt.Memory
+	p, _, err := core.New(ctx, m, backendName, cfg)
+	return p, err
 }
 
 // calibrateProbeAttempts bounds the startup probe's own retry loop;
@@ -569,139 +565,152 @@ func (s *server) handleBackends(w http.ResponseWriter, req *http.Request) {
 
 // handleProject serves POST /project: body is a single-workload
 // skeleton source (.sk); optional query parameters `iters` (override
-// the iteration count), `seed` (override the machine seed), and
-// `target` (project onto a registered hardware target instead of the
-// daemon's default). The response is the same report JSON the CLI's
-// -json flag prints, and the completed run — report, trace, error —
-// lands in the flight recorder under the X-Run-ID response header.
-// Errors are JSON: {"error": "...", "status": N}.
+// the iteration count), `seed` (override the machine seed), `target`
+// (project onto a registered hardware target instead of the daemon's
+// default), and `backend` (predict through a registered backend). The
+// response is the same report JSON the CLI's -json flag prints, and
+// the completed run — report, trace, error — lands in the flight
+// recorder under the X-Run-Id response header. Errors are JSON:
+// {"error": "...", "status": N}.
 func (s *server) handleProject(w http.ResponseWriter, req *http.Request) {
-	start := time.Now()
-	runID := obs.NewRunID()
-	w.Header().Set("X-Run-Id", runID)
 	ctx := obs.WithLogger(req.Context(), s.cfg.Logger)
-	ctx = obs.WithRun(ctx, runID)
-	lg := obs.Log(obs.WithPhase(ctx, "serve"))
-
+	event := telemetry.EventFrom(ctx)
 	fail := func(status int, err error) {
 		mRequestErrors.Inc()
 		if errors.Is(err, errdefs.ErrCircuitOpen) {
 			w.Header().Set("Retry-After", strconv.Itoa(s.admit.retryAfterSeconds()))
 		}
-		lg.Error("projection request failed", "status", status, "err", err.Error(),
-			"duration_ms", float64(time.Since(start).Microseconds())/1e3)
+		event.Set("err", err.Error())
 		writeError(w, status, err)
 	}
 
+	r, status, err := s.projectJob(w, req)
+	if err != nil {
+		fail(status, err)
+		return
+	}
+	event.Set("workload", r.wl.Name)
+	event.Set("target", r.tgt.Name)
+	event.Set("backend", r.backend)
+	event.Set("seed", r.seed)
+	out := s.run(ctx, r)
+	w.Header().Set("X-Run-Id", out.runID)
+	event.Set("run", out.runID)
+	if out.err != nil {
+		fail(httpStatus(out.err), out.err)
+		return
+	}
+	event.Set("speedup_full", fmt.Sprintf("%.3g", out.speedup))
+	event.Set("degradations", out.degradations)
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(out.report)
+}
+
+// projectJob resolves a POST /project request — the skeleton body and
+// the query parameters — into the job shape /batch runs. A failure
+// comes back with its response status.
+func (s *server) projectJob(w http.ResponseWriter, req *http.Request) (resolvedJob, int, error) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, maxSkeletonBytes))
 	if err != nil {
-		fail(http.StatusBadRequest, fmt.Errorf("reading skeleton body: %w", err))
-		return
+		return resolvedJob{}, http.StatusBadRequest, fmt.Errorf("reading skeleton body: %w", err)
 	}
-	src := string(body)
-	wl, err := sklang.Parse(src)
+	r := resolvedJob{tgt: s.tgt, backend: backend.DefaultName, seed: s.cfg.Seed, src: string(body)}
+	r.wl, err = sklang.Parse(r.src)
 	if errors.Is(err, sklang.ErrNotWorkload) {
-		fail(http.StatusUnprocessableEntity,
-			errors.New("multi-phase program files are not supported; POST a single-workload skeleton"))
-		return
+		return r, http.StatusUnprocessableEntity,
+			errors.New("multi-phase program files are not supported; POST a single-workload skeleton")
 	}
 	if err != nil {
-		fail(http.StatusBadRequest, err)
-		return
+		return r, http.StatusBadRequest, err
 	}
 
-	seed := s.cfg.Seed
-	if qs := req.URL.Query().Get("seed"); qs != "" {
-		seed, err = strconv.ParseUint(qs, 10, 64)
-		if err != nil {
-			fail(http.StatusBadRequest, fmt.Errorf("bad seed %q: %w", qs, err))
-			return
+	q := req.URL.Query()
+	if qs := q.Get("seed"); qs != "" {
+		if r.seed, err = strconv.ParseUint(qs, 10, 64); err != nil {
+			return r, http.StatusBadRequest, fmt.Errorf("bad seed %q: %w", qs, err)
 		}
 	}
-	if qi := req.URL.Query().Get("iters"); qi != "" {
+	if qi := q.Get("iters"); qi != "" {
 		n, err := strconv.Atoi(qi)
 		if err != nil || n < 1 {
-			fail(http.StatusBadRequest, fmt.Errorf("bad iteration count %q", qi))
-			return
+			return r, http.StatusBadRequest, fmt.Errorf("bad iteration count %q", qi)
 		}
-		wl = wl.WithIterations(n)
+		r.wl = r.wl.WithIterations(n)
 	}
-	tgt := s.tgt
-	if qt := req.URL.Query().Get("target"); qt != "" {
-		tgt, err = target.Lookup(qt)
-		if err != nil {
-			// target.Lookup's message lists the registered names.
-			fail(http.StatusBadRequest, err)
-			return
+	if qt := q.Get("target"); qt != "" {
+		// target.Lookup's message lists the registered names.
+		if r.tgt, err = target.Lookup(qt); err != nil {
+			return r, http.StatusBadRequest, err
 		}
 	}
-	backendName := backend.DefaultName
-	if qb := req.URL.Query().Get("backend"); qb != "" {
+	if qb := q.Get("backend"); qb != "" {
+		// backend.Get's message lists the registered names.
 		b, err := backend.Get(qb)
 		if err != nil {
-			// backend.Get's message lists the registered names.
-			fail(http.StatusBadRequest, err)
-			return
+			return r, http.StatusBadRequest, err
 		}
-		backendName = b.Name()
+		r.backend = b.Name()
 	}
+	return r, http.StatusOK, nil
+}
 
-	ctx = obs.WithWorkload(ctx, wl.Name)
+// run is the lifecycle every projection shares, a /project request
+// and each /batch job alike: it mints the run ID, evaluates under a
+// simulated-time tracer with a projector from newProjector, records
+// the run in the flight recorder, and encodes the report.
+func (s *server) run(ctx context.Context, r resolvedJob) jobOutcome {
+	out := jobOutcome{
+		id:        r.id,
+		dependsOn: r.dependsOn,
+		tgt:       r.tgt.Name,
+		backend:   r.backend,
+		seed:      r.seed,
+	}
+	if r.err != nil {
+		out.err = r.err
+		return out
+	}
+	out.wl = r.wl.Name
+
+	start := time.Now()
+	out.runID = obs.NewRunID()
+	ctx = obs.WithRun(ctx, out.runID)
+	ctx = obs.WithWorkload(ctx, r.wl.Name)
 	tracer := trace.New("grophecyd")
 	ctx = trace.With(ctx, tracer)
 
-	// Annotate the request's wide event and pin its wall-clock trace
-	// to the flight entry so GET /runs/{id}/walltrace can replay it.
-	event := telemetry.EventFrom(ctx)
-	event.Set("run", runID)
-	event.Set("workload", wl.Name)
-	event.Set("target", tgt.Name)
-	event.Set("backend", backendName)
-	event.Set("seed", seed)
-
 	entry := flight.Entry{
-		ID:        runID,
-		Workload:  wl.Name,
-		DataSize:  wl.DataSize,
-		Source:    src,
-		Seed:      seed,
+		ID:        out.runID,
+		Workload:  r.wl.Name,
+		DataSize:  r.wl.DataSize,
+		Source:    r.src,
+		Seed:      r.seed,
+		JobID:     r.id,
+		DependsOn: r.dependsOn,
 		Start:     start,
+		// The run keeps the request's wall trace: every job of a batch
+		// replays the whole request trace from its walltrace endpoint.
 		WallTrace: telemetry.FromContext(ctx),
 	}
-	rep, err := s.project(ctx, tgt, backendName, seed, wl)
+	p, err := s.newProjector(ctx, r.tgt, r.backend, r.seed)
+	var rep core.Report
+	if err == nil {
+		rep, err = p.EvaluateCtx(ctx, r.wl)
+	}
 	tracer.Close()
 	entry.Trace = tracer
 	entry.Duration = time.Since(start)
 	if err != nil {
 		entry.Err = err.Error()
 		s.recorder.Add(entry)
-		fail(httpStatus(err), err)
-		return
+		out.err = err
+		return out
 	}
 	entry.Report = rep
 	s.recorder.Add(entry)
 
-	data, err := report.JSON(rep)
-	if err != nil {
-		fail(http.StatusInternalServerError, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(data)
-	lg.Info("projection request served",
-		"workload", wl.Name, "seed", seed, "target", tgt.Name, "backend", backendName,
-		"speedup_full", fmt.Sprintf("%.3g", rep.SpeedupFull()),
-		"cache_hits", s.pool.Hits(), "cache_misses", s.pool.Misses(),
-		"degradations", len(rep.Degradations),
-		"duration_ms", float64(time.Since(start).Microseconds())/1e3)
-}
-
-// project runs one full evaluation on a machine private to this
-// request, calibrated through the cache when the pipeline is clean.
-func (s *server) project(ctx context.Context, tgt target.Target, backendName string, seed uint64, wl core.Workload) (core.Report, error) {
-	p, err := s.newProjector(ctx, tgt, backendName, seed)
-	if err != nil {
-		return core.Report{}, err
-	}
-	return p.EvaluateCtx(ctx, wl)
+	out.speedup = rep.SpeedupFull()
+	out.degradations = len(rep.Degradations)
+	out.report, out.err = report.JSON(rep)
+	return out
 }

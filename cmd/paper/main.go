@@ -85,7 +85,7 @@ func main() {
 	}
 	calCfg := xfermodel.DefaultCalibration()
 	calCfg.Kind = tgt.Memory
-	proj, _, err := core.NewBackendProjector(tctx, tgt.Machine(*seed), backendName, calCfg)
+	proj, _, err := core.New(tctx, tgt.Machine(*seed), backendName, calCfg)
 	if err != nil {
 		fatal(err)
 	}

@@ -127,7 +127,7 @@ func (e *Engine) Evaluate(ctx context.Context, p *Projector, w Workload) (Report
 	mEvaluations.Inc()
 	ctx = obs.WithWorkload(ctx, w.Name)
 	lg := obs.Log(obs.WithPhase(ctx, "evaluate"))
-	lg.Info("projection started",
+	lg.Debug("projection started",
 		"size", w.DataSize,
 		"iterations", w.Seq.Iterations,
 		"resilient", p.meter != nil)
@@ -154,7 +154,7 @@ func (e *Engine) Evaluate(ctx context.Context, p *Projector, w Workload) (Report
 	}
 
 	r := st.Report
-	lg.Info("projection finished",
+	lg.Debug("projection finished",
 		"speedup_full", fmt.Sprintf("%.3g", r.SpeedupFull()),
 		"measured_speedup", fmt.Sprintf("%.3g", r.MeasuredSpeedup()),
 		"pred_total_gpu_s", fmt.Sprintf("%.3g", r.PredTotalGPU()),

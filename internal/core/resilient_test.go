@@ -4,14 +4,16 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"math"
 	"testing"
 
+	"grophecy/internal/backend"
 	"grophecy/internal/bench"
 	"grophecy/internal/core"
+	"grophecy/internal/errdefs"
 	"grophecy/internal/fault"
-	"grophecy/internal/measure"
-	"grophecy/internal/pcie"
+	"grophecy/internal/xfermodel"
 )
 
 const machineSeed = 42
@@ -24,6 +26,17 @@ func acceptancePlan() fault.Plan {
 		OutlierProb:   0.02, OutlierScale: 8, OutlierBurst: 2,
 		Seed: 7,
 	}
+}
+
+// newResilient builds the projector for a fault-armed machine, which
+// core.New calibrates and measures through the resilient layer.
+func newResilient(t *testing.T, ctx context.Context, m *core.Machine) *core.Projector {
+	t.Helper()
+	p, _, err := core.New(ctx, m, backend.DefaultName, xfermodel.DefaultCalibration())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
 }
 
 // benchWorkloads returns the four paper workloads at one
@@ -53,10 +66,7 @@ func resilientReports(t *testing.T, plan fault.Plan) []byte {
 	ctx := context.Background()
 	machine := core.NewMachine(machineSeed)
 	machine.ArmFaults(plan)
-	p, err := core.NewResilientProjector(ctx, machine, pcie.Pinned, measure.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := newResilient(t, ctx, machine)
 	var reports []core.Report
 	for _, w := range benchWorkloads(t) {
 		rep, err := p.EvaluateCtx(ctx, w)
@@ -93,10 +103,7 @@ func TestResilientSpeedupWithinMarginOfClean(t *testing.T) {
 	ctx := context.Background()
 	machine := core.NewMachine(machineSeed)
 	machine.ArmFaults(acceptancePlan())
-	faulty, err := core.NewResilientProjector(ctx, machine, pcie.Pinned, measure.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	faulty := newResilient(t, ctx, machine)
 
 	// The stated acceptance margin: with >= 1% transients plus outlier
 	// bursts, the resilient pipeline's projected speedup stays within
@@ -127,10 +134,7 @@ func TestResilientDegradationsReported(t *testing.T) {
 	ctx := context.Background()
 	machine := core.NewMachine(machineSeed)
 	machine.ArmFaults(plan)
-	p, err := core.NewResilientProjector(ctx, machine, pcie.Pinned, measure.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := newResilient(t, ctx, machine)
 	sawDegradation := false
 	for _, w := range benchWorkloads(t) {
 		rep, err := p.EvaluateCtx(ctx, w)
@@ -150,14 +154,34 @@ func TestResilientEvaluateCancelled(t *testing.T) {
 	ctx := context.Background()
 	machine := core.NewMachine(machineSeed)
 	machine.ArmFaults(acceptancePlan())
-	p, err := core.NewResilientProjector(ctx, machine, pcie.Pinned, measure.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := newResilient(t, ctx, machine)
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
 	w := benchWorkloads(t)[0]
 	if _, err := p.EvaluateCtx(cancelled, w); err == nil {
 		t.Fatal("cancelled evaluation succeeded")
+	}
+}
+
+// TestNewRejectsNonAnalyticUnderFaults: the resilient path predicts
+// with the analytic backend only, and core.New refuses any other
+// backend on an armed machine before drawing a single bus transfer.
+func TestNewRejectsNonAnalyticUnderFaults(t *testing.T) {
+	for _, name := range []string{"fitted", "piecewise"} {
+		t.Run(name, func(t *testing.T) {
+			machine := core.NewMachine(machineSeed)
+			faults := machine.ArmFaults(acceptancePlan())
+			before := machine.Bus.NoiseState()
+			p, _, err := core.New(context.Background(), machine, name, xfermodel.DefaultCalibration())
+			if !errors.Is(err, errdefs.ErrInvalidInput) {
+				t.Fatalf("core.New(%s) on a faulted machine: projector %v, err %v; want ErrInvalidInput", name, p, err)
+			}
+			if after := machine.Bus.NoiseState(); after != before {
+				t.Errorf("bus noise state moved from %v to %v: calibration transfers were drawn", before, after)
+			}
+			if s := faults.Stats(); s != (fault.Stats{}) {
+				t.Errorf("fault layer saw traffic: %s", s)
+			}
+		})
 	}
 }

@@ -214,7 +214,7 @@ func TestExportWarmRoundTrip(t *testing.T) {
 	}
 	want := freshJSON(t, tgt, w)
 
-	a := NewPool(0)
+	a := NewPoolWith(Config{})
 	if !bytes.Equal(pooledJSON(t, a, tgt, w), want) {
 		t.Fatal("source pool diverged from fresh calibration")
 	}
@@ -223,7 +223,7 @@ func TestExportWarmRoundTrip(t *testing.T) {
 		t.Fatalf("Export = %d entries, want 1", len(entries))
 	}
 
-	b := NewPool(0)
+	b := NewPoolWith(Config{})
 	if n := b.Warm(entries); n != 1 {
 		t.Fatalf("Warm = %d, want 1", n)
 	}

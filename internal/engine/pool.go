@@ -227,12 +227,6 @@ type Pool struct {
 	calibrateHook func(Key)
 }
 
-// NewPool returns an empty pool retaining at most max calibrations
-// (DefaultMaxEntries if max <= 0), with default resilience settings.
-func NewPool(max int) *Pool {
-	return NewPoolWith(Config{MaxEntries: max})
-}
-
 // NewPoolWith returns an empty pool tuned by cfg.
 func NewPoolWith(cfg Config) *Pool {
 	if cfg.MaxEntries <= 0 {
@@ -412,10 +406,10 @@ func retriable(err error) bool {
 // caller. The first call for a key calibrates; concurrent calls for
 // the same key share that one calibration; later calls reuse it
 // without touching the bus. Either way the returned projector
-// produces reports bit-identical to core.NewBackendProjector on a
-// fresh machine. backendName "" means the analytic default; an
-// unknown backend fails fast with errdefs.ErrInvalidInput before any
-// flight or breaker state is touched.
+// produces reports bit-identical to core.New on a fresh machine.
+// backendName "" means the analytic default; an unknown backend fails
+// fast with errdefs.ErrInvalidInput before any flight or breaker state
+// is touched.
 //
 // ctx bounds both the wait on an in-flight calibration and the
 // calibration this call runs itself; a cancelled owner closes the
@@ -666,7 +660,7 @@ func (p *Pool) calibrate(ctx context.Context, key Key, tgt target.Target, seed u
 	m := tgt.Machine(seed)
 	cfg := p.calCfg
 	cfg.Kind = kind
-	proj, fit, err := core.NewBackendProjector(ctx, m, key.Backend, cfg)
+	proj, fit, err := core.New(ctx, m, key.Backend, cfg)
 	if err != nil {
 		return calibration{}, err
 	}

@@ -83,7 +83,7 @@ func TestPoolBitIdenticalToFreshCalibration(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := freshJSON(t, tgt, w)
-			pool := NewPool(0)
+			pool := NewPoolWith(Config{})
 			miss := pooledJSON(t, pool, tgt, w)
 			hit := pooledJSON(t, pool, tgt, w)
 			if !bytes.Equal(miss, want) {
@@ -108,7 +108,7 @@ func TestPoolSingleflight(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := freshJSON(t, tgt, w)
-	pool := NewPool(0)
+	pool := NewPoolWith(Config{})
 
 	const clients = 8
 	out := make([][]byte, clients)
@@ -164,7 +164,7 @@ func TestPoolKeysAreDistinct(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := NewPool(0)
+	pool := NewPoolWith(Config{})
 	ctx := context.Background()
 	calls := []func() (*core.Projector, error){
 		func() (*core.Projector, error) { return pool.Projector(ctx, tgt, backend.DefaultName, 1, pcie.Pinned) },
@@ -195,7 +195,7 @@ func TestPoolBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := NewPool(2)
+	pool := NewPoolWith(Config{MaxEntries: 2})
 	ctx := context.Background()
 	for s := uint64(1); s <= 5; s++ {
 		if _, err := pool.Projector(ctx, tgt, backend.DefaultName, s, pcie.Pinned); err != nil {
@@ -283,7 +283,7 @@ func TestPoolCancelledContext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := NewPool(0)
+	pool := NewPoolWith(Config{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := pool.Projector(ctx, tgt, backend.DefaultName, seed, pcie.Pinned); !errors.Is(err, context.Canceled) {
@@ -305,7 +305,7 @@ func TestPoolWaitersRetryAfterOwnerCancelled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := NewPool(0)
+	pool := NewPoolWith(Config{})
 
 	entered := make(chan struct{})
 	gate := make(chan struct{})
@@ -360,7 +360,7 @@ func TestPoolNeverEvictsInflight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := NewPool(1)
+	pool := NewPoolWith(Config{MaxEntries: 1})
 	ctx := context.Background()
 
 	// Seed a completed entry, then hold a second key in flight.
@@ -423,7 +423,7 @@ func TestPoolEvictionIsLRUAndDeterministic(t *testing.T) {
 	}
 	ctx := context.Background()
 	for round := 0; round < 5; round++ {
-		pool := NewPool(2)
+		pool := NewPoolWith(Config{MaxEntries: 2})
 		// A then B fill the pool; touching A makes B the LRU entry.
 		for _, s := range []uint64{1, 2, 1} {
 			if _, err := pool.Projector(ctx, tgt, backend.DefaultName, s, pcie.Pinned); err != nil {
@@ -487,7 +487,7 @@ func TestPoolBackendKeysNeverShareFlights(t *testing.T) {
 		t.Fatal(err)
 	}
 	backends := backend.Default.Names()
-	pool := NewPool(0)
+	pool := NewPoolWith(Config{})
 
 	var mu sync.Mutex
 	calibrated := make(map[string]int)

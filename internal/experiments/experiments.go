@@ -57,7 +57,7 @@ func NewContextOn(m *core.Machine) (*Context, error) {
 // NewContextWithProjector wraps an already-calibrated projector, so
 // callers can evaluate the paper's experiments through a non-default
 // prediction backend (`paper -backend` builds the projector with
-// core.NewBackendProjector and passes it here).
+// core.New and passes it here).
 func NewContextWithProjector(p *core.Projector) *Context {
 	return &Context{M: p.Machine(), P: p, reports: make(map[string]core.Report)}
 }

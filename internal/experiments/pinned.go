@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"strings"
 
+	"grophecy/internal/backend"
 	"grophecy/internal/bench"
 	"grophecy/internal/core"
 	"grophecy/internal/pcie"
+	"grophecy/internal/xfermodel"
 )
 
 // Pinned-assumption study: GROPHECY++ "assume[s] the use of pinned
@@ -47,8 +49,9 @@ func PinnedAssumptionCtx(ctx context.Context, seed uint64) ([]PinnedRow, error) 
 		rows[i] = PinnedRow{App: w.Name, DataSize: w.DataSize}
 	}
 	for _, kind := range []pcie.MemoryKind{pcie.Pinned, pcie.Pageable} {
-		m := core.NewMachine(seed)
-		p, err := core.NewProjectorWith(m, kind)
+		cfg := xfermodel.DefaultCalibration()
+		cfg.Kind = kind
+		p, _, err := core.New(ctx, core.NewMachine(seed), backend.DefaultName, cfg)
 		if err != nil {
 			return nil, err
 		}

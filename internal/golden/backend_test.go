@@ -25,7 +25,7 @@ func evaluateBackend(t *testing.T, name, backendName string) (core.Report, backe
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, fit, err := core.NewBackendProjector(context.Background(),
+	p, fit, err := core.New(context.Background(),
 		core.NewMachine(experiments.DefaultSeed), backendName, xfermodel.DefaultCalibration())
 	if err != nil {
 		t.Fatal(err)
@@ -87,7 +87,7 @@ func TestRestoredBackendMatchesLive(t *testing.T) {
 	for _, bk := range backend.Default.Names() {
 		t.Run(bk, func(t *testing.T) {
 			m := core.NewMachine(experiments.DefaultSeed)
-			p, fit, err := core.NewBackendProjector(context.Background(), m, bk, xfermodel.DefaultCalibration())
+			p, fit, err := core.New(context.Background(), m, bk, xfermodel.DefaultCalibration())
 			if err != nil {
 				t.Fatal(err)
 			}

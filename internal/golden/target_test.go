@@ -72,7 +72,7 @@ func TestGoldenTargetDeterminism(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			pool := engine.NewPool(0)
+			pool := engine.NewPoolWith(engine.Config{})
 			for i, want := 0, []byte(cli); i < 2; i++ {
 				p, err := pool.Projector(context.Background(), tgt, backend.DefaultName, experiments.DefaultSeed, pcie.Pinned)
 				if err != nil {

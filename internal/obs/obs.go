@@ -9,7 +9,7 @@
 //   - run:      the projection's run ID ("run-7"), unique per process;
 //   - workload: the skeleton/workload name being projected;
 //   - phase:    the pipeline stage emitting the line ("evaluate",
-//     "calibrate", "kernel", "transfer", "cpu", "sweep", "serve").
+//     "calibrate", "kernel", "transfer", "cpu", "sweep", "batch").
 //
 // All three travel by context.Context. Log(ctx) returns the
 // context's logger with whatever subset is set already bound, and the
