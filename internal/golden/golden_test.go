@@ -28,8 +28,8 @@ import (
 var update = flag.Bool("update", false, "rewrite the golden files with the current output")
 
 // skeletons are the four paper workloads with single-workload
-// skeleton files (pipeline.sk is a multi-phase program and has its
-// own rendering path).
+// skeleton files (pipeline.sk is a multi-phase program; program_test.go
+// pins it).
 var skeletons = []string{"cfd", "hotspot", "srad", "stassuij"}
 
 // evaluate runs the full pipeline on one skeleton file at the
