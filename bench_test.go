@@ -263,7 +263,7 @@ func BenchmarkRobustness(b *testing.B) {
 	var res experiments.RobustnessResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		res, err = experiments.Robustness(experiments.DefaultSeed, 4)
+		res, err = experiments.RobustnessCtx(context.Background(), experiments.DefaultSeed, 4)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -352,6 +352,9 @@ func runProgramFile(ctx context.Context, path string, seed uint64, backendName s
 
 	fmt.Printf("GROPHECY++ program projection: %s %s (%d phases)\n\n",
 		pw.Name, pw.DataSize, len(rep.Phases))
+	if projector.Backend() != backend.DefaultName {
+		fmt.Printf("prediction backend: %s\n\n", projector.Backend())
+	}
 	fmt.Printf("%-8s %12s %12s %10s\n", "phase", "kernels", "transfers", "moved")
 	for i, ph := range rep.Phases {
 		var bytes int64

@@ -243,7 +243,7 @@ func newServer(cfg daemonConfig) (*server, error) {
 		// lands, so even a SIGKILL loses at most the flight in progress.
 		// A failed write degrades durability, not serving.
 		poolCfg.OnCalibrated = func(ctx context.Context, e engine.Entry) {
-			if err := st.PutCtx(ctx, storeEntry(e)); err != nil {
+			if err := st.PutCtx(ctx, e); err != nil {
 				cfg.Logger.Warn("calibration write-through failed", "err", err.Error())
 			}
 		}
@@ -254,7 +254,7 @@ func newServer(cfg daemonConfig) (*server, error) {
 		if err != nil {
 			return nil, err
 		}
-		warmed := s.pool.Warm(engineEntries(res.Entries))
+		warmed := s.pool.Warm(res.Entries)
 		s.snap.SetLoaded(s.store.Dir(), warmed, res.Stale, res.Quarantined, res.Duration)
 		cfg.Logger.Info("calibration snapshot loaded",
 			"dir", s.store.Dir(), "warmed", warmed,
@@ -302,31 +302,6 @@ func (s *server) closeSinks() {
 	}
 }
 
-// storeEntry and engineEntries convert between the pool's and the
-// snapshot store's entry shapes; the two packages deliberately do not
-// import each other, so the daemon owns the translation.
-func storeEntry(e engine.Entry) store.Entry {
-	return store.Entry{
-		Key:      store.Key{Target: e.Key.Target, Backend: e.Key.Backend, Kind: e.Key.Kind, Seed: e.Key.Seed},
-		Model:    e.Model,
-		Fit:      e.Fit,
-		BusState: e.BusState,
-	}
-}
-
-func engineEntries(es []store.Entry) []engine.Entry {
-	out := make([]engine.Entry, len(es))
-	for i, e := range es {
-		out[i] = engine.Entry{
-			Key:      engine.Key{Target: e.Key.Target, Backend: e.Key.Backend, Kind: e.Key.Kind, Seed: e.Key.Seed},
-			Model:    e.Model,
-			Fit:      e.Fit,
-			BusState: e.BusState,
-		}
-	}
-	return out
-}
-
 // saveSnapshot persists every completed calibration to the store —
 // the periodic ticker and graceful shutdown both land here. A no-op
 // when persistence is disabled.
@@ -334,12 +309,7 @@ func (s *server) saveSnapshot() error {
 	if s.store == nil {
 		return nil
 	}
-	entries := s.pool.Export()
-	out := make([]store.Entry, len(entries))
-	for i, e := range entries {
-		out[i] = storeEntry(e)
-	}
-	return s.store.SaveAll(out)
+	return s.store.SaveAll(s.pool.Export())
 }
 
 // newProjector returns a ready projector for one run: from the

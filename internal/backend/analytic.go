@@ -57,9 +57,9 @@ func (b analyticBackend) Restore(fit Fit) (Instance, error) {
 }
 
 // AnalyticInstance wraps an already-calibrated bus model in the
-// analytic backend's predictors. It is how the legacy construction
-// paths in internal/core (pre-calibrated models, the resilient
-// degradation ladder) re-enter the backend world without recalibrating.
+// analytic backend's predictors. core.New uses it on the resilient
+// path, where xfermodel.CalibrateResilient fits the model through the
+// fault-injecting bus instead of the backend's own Calibrate.
 func AnalyticInstance(bm xfermodel.BusModel) Instance {
 	return Instance{
 		Kernel:   analyticKernels{},

@@ -410,18 +410,61 @@ func (p *Projector) Evaluate(w Workload) (Report, error) {
 // absorbed failures, and records every fallback in
 // Report.Degradations.
 //
-// The evaluation runs through the staged engine (see engine.go):
-// datausage → kernels → transfers → cpu → assemble, composed by
-// DefaultEngine. Tracing: when the context carries a trace.Tracer,
-// the evaluation opens an "evaluate" span whose simulated clock
-// advances by exactly the *predicted* GPU time of each kernel (all
-// iterations) and each transfer — so the span's duration equals
-// Report.PredTotalGPU() and the trace is the projected GPU timeline.
-// Analysis, exploration, and measurement appear as zero-duration
-// child spans whose attributes carry the interesting counts
-// (candidates, samples, retries, simulated measurement cost).
+// The evaluation runs the five stages of stages.go in order:
+// datausage → kernels → transfers → cpu → assemble. Tracing: when the
+// context carries a trace.Tracer, the evaluation opens an "evaluate"
+// span whose simulated clock advances by exactly the *predicted* GPU
+// time of each kernel (all iterations) and each transfer — so the
+// span's duration equals Report.PredTotalGPU() and the trace is the
+// projected GPU timeline. Analysis, exploration, and measurement
+// appear as zero-duration child spans whose attributes carry the
+// interesting counts (candidates, samples, retries, simulated
+// measurement cost).
 func (p *Projector) EvaluateCtx(ctx context.Context, w Workload) (Report, error) {
-	return DefaultEngine().Evaluate(ctx, p, w)
+	if p == nil {
+		return Report{}, errdefs.Invalidf("core: Evaluate with nil projector")
+	}
+	if err := w.Validate(); err != nil {
+		return Report{}, err
+	}
+	mEvaluations.Inc()
+	ctx = obs.WithWorkload(ctx, w.Name)
+	lg := obs.Log(obs.WithPhase(ctx, "evaluate"))
+	lg.Debug("projection started",
+		"size", w.DataSize,
+		"iterations", w.Seq.Iterations,
+		"resilient", p.meter != nil)
+	ctx, span := trace.Start(ctx, "evaluate",
+		trace.String("workload", w.Name),
+		trace.String("size", w.DataSize),
+		trace.Int("iterations", int64(w.Seq.Iterations)))
+	defer span.End()
+
+	st := &EvalState{Projector: p, Workload: w}
+	if err := runStages(ctx, st, stages); err != nil {
+		return Report{}, err
+	}
+
+	r := st.Report
+	lg.Debug("projection finished",
+		"speedup_full", fmt.Sprintf("%.3g", r.SpeedupFull()),
+		"measured_speedup", fmt.Sprintf("%.3g", r.MeasuredSpeedup()),
+		"pred_total_gpu_s", fmt.Sprintf("%.3g", r.PredTotalGPU()),
+		"degradations", len(r.Degradations))
+	return r, nil
+}
+
+// calibrationNotes renders the calibration ladder's fallbacks as the
+// leading report degradations; nil for a clean calibration.
+func (p *Projector) calibrationNotes() []string {
+	if p.health == nil {
+		return nil
+	}
+	var notes []string
+	for _, d := range p.health.Degradations {
+		notes = append(notes, "calibration: "+d)
+	}
+	return notes
 }
 
 // projectKernel runs the transformation exploration and kernel-time
@@ -438,8 +481,7 @@ func (p *Projector) predictTransfer(dir pcie.Direction, size int64) (float64, er
 
 // measureKernel measures one kernel's per-invocation time. The raw
 // pipeline uses the paper's 10-run mean; the resilient pipeline uses
-// the robust protocol and, when the measurement is unrecoverable,
-// degrades to the analytical prediction with a recorded warning.
+// the robust protocol and degrades to the kernel-time prediction.
 func (p *Projector) measureKernel(ctx context.Context, name string, ch perfmodel.Characteristics, predicted float64, notes *[]string) (float64, error) {
 	ctx, span := trace.Start(ctx, "measure.kernel", trace.Int("runs", int64(MeasureRuns)))
 	defer span.End()
@@ -447,28 +489,12 @@ func (p *Projector) measureKernel(ctx context.Context, name string, ch perfmodel
 		return p.m.GPU.MeasureMean(ch, MeasureRuns)
 	}
 	res, err := p.meter.Sample(ctx, func() (float64, error) { return p.m.Faults.GPU.Run(ch) })
-	if err != nil {
-		if res.Samples > 0 && degradable(ctx, err) {
-			*notes = append(*notes, fmt.Sprintf(
-				"kernel %s: measurement cut short (%d samples kept): %v", name, res.Samples, err))
-			obs.Log(ctx).Warn("kernel measurement cut short, keeping partial estimate",
-				"kernel", name, "samples", res.Samples, "retries", res.Retries, "err", err.Error())
-			return res.Value, nil
-		}
-		if degradable(ctx, err) {
-			*notes = append(*notes, fmt.Sprintf(
-				"kernel %s: measurement unrecoverable, using analytical prediction: %v", name, err))
-			obs.Log(ctx).Warn("kernel measurement unrecoverable, using analytical prediction",
-				"kernel", name, "retries", res.Retries, "err", err.Error())
-			return predicted, nil
-		}
-		return 0, err
-	}
-	return res.Value, nil
+	return degrade(ctx, res, err, "kernel "+name, "analytical prediction",
+		func() (float64, error) { return predicted, nil }, notes)
 }
 
-// measureTransfer measures one transfer. Degradation ladder: partial
-// robust estimate, then the calibrated model's prediction.
+// measureTransfer measures one transfer, degrading to the transfer
+// prediction.
 func (p *Projector) measureTransfer(ctx context.Context, label string, dir pcie.Direction, size int64, predicted float64, notes *[]string) (float64, error) {
 	ctx, span := trace.Start(ctx, "measure.transfer", trace.Int("runs", int64(MeasureRuns)))
 	defer span.End()
@@ -476,28 +502,12 @@ func (p *Projector) measureTransfer(ctx context.Context, label string, dir pcie.
 		return p.m.Bus.MeasureMean(dir, p.kind, size, MeasureRuns)
 	}
 	res, err := p.meter.MeasureTransfer(ctx, p.m.Faults.Bus, dir, p.kind, size)
-	if err != nil {
-		if res.Samples > 0 && degradable(ctx, err) {
-			*notes = append(*notes, fmt.Sprintf(
-				"transfer %s: measurement cut short (%d samples kept): %v", label, res.Samples, err))
-			obs.Log(ctx).Warn("transfer measurement cut short, keeping partial estimate",
-				"transfer", label, "samples", res.Samples, "retries", res.Retries, "err", err.Error())
-			return res.Value, nil
-		}
-		if degradable(ctx, err) {
-			*notes = append(*notes, fmt.Sprintf(
-				"transfer %s: measurement unrecoverable, using model prediction: %v", label, err))
-			obs.Log(ctx).Warn("transfer measurement unrecoverable, using model prediction",
-				"transfer", label, "retries", res.Retries, "err", err.Error())
-			return predicted, nil
-		}
-		return 0, err
-	}
-	return res.Value, nil
+	return degrade(ctx, res, err, "transfer "+label, "model prediction",
+		func() (float64, error) { return predicted, nil }, notes)
 }
 
 // measureCPU measures the per-iteration CPU baseline, degrading to
-// the noiseless model time when the measurement is unrecoverable.
+// the noiseless model time.
 func (p *Projector) measureCPU(ctx context.Context, w cpumodel.Workload, notes *[]string) (float64, error) {
 	ctx, span := trace.Start(ctx, "measure.cpu", trace.Int("runs", int64(MeasureRuns)))
 	defer span.End()
@@ -505,28 +515,39 @@ func (p *Projector) measureCPU(ctx context.Context, w cpumodel.Workload, notes *
 		return p.m.CPU.MeasureMean(w, MeasureRuns)
 	}
 	res, err := p.meter.Sample(ctx, func() (float64, error) { return p.m.Faults.CPU.Run(w) })
-	if err != nil {
-		if res.Samples > 0 && degradable(ctx, err) {
-			*notes = append(*notes, fmt.Sprintf(
-				"CPU baseline: measurement cut short (%d samples kept): %v", res.Samples, err))
-			obs.Log(ctx).Warn("CPU baseline measurement cut short, keeping partial estimate",
-				"samples", res.Samples, "retries", res.Retries, "err", err.Error())
-			return res.Value, nil
-		}
-		if degradable(ctx, err) {
-			base, berr := p.m.CPU.BaseTime(w)
-			if berr != nil {
-				return 0, berr
-			}
-			*notes = append(*notes, fmt.Sprintf(
-				"CPU baseline: measurement unrecoverable, using noiseless model time: %v", err))
-			obs.Log(ctx).Warn("CPU baseline measurement unrecoverable, using noiseless model time",
-				"retries", res.Retries, "err", err.Error())
-			return base, nil
-		}
+	return degrade(ctx, res, err, "CPU baseline", "noiseless model time",
+		func() (float64, error) { return p.m.CPU.BaseTime(w) }, notes)
+}
+
+// degrade is the resilient pipeline's degradation ladder for one
+// measurement of subject. A failure the ladder absorbs (see
+// degradable) keeps the partial robust estimate when any samples
+// survived, and otherwise falls back to fallback(), described as
+// using; either rung appends a note to notes. Any other failure
+// propagates.
+func degrade(ctx context.Context, res measure.Result, err error, subject, using string, fallback func() (float64, error), notes *[]string) (float64, error) {
+	if err == nil {
+		return res.Value, nil
+	}
+	if !degradable(ctx, err) {
 		return 0, err
 	}
-	return res.Value, nil
+	if res.Samples > 0 {
+		*notes = append(*notes, fmt.Sprintf(
+			"%s: measurement cut short (%d samples kept): %v", subject, res.Samples, err))
+		obs.Log(ctx).Warn("measurement cut short, keeping partial estimate",
+			"subject", subject, "samples", res.Samples, "retries", res.Retries, "err", err.Error())
+		return res.Value, nil
+	}
+	v, ferr := fallback()
+	if ferr != nil {
+		return 0, ferr
+	}
+	*notes = append(*notes, fmt.Sprintf(
+		"%s: measurement unrecoverable, using %s: %v", subject, using, err))
+	obs.Log(ctx).Warn("measurement unrecoverable, using "+using,
+		"subject", subject, "retries", res.Retries, "err", err.Error())
+	return v, nil
 }
 
 // EvaluateIterations evaluates the workload at several iteration

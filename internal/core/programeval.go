@@ -6,10 +6,8 @@ import (
 
 	"grophecy/internal/cpumodel"
 	"grophecy/internal/datausage"
-	"grophecy/internal/pcie"
 	"grophecy/internal/program"
 	"grophecy/internal/trace"
-	"grophecy/internal/transform"
 )
 
 // Program-level evaluation: the single-region pipeline of Evaluate,
@@ -91,111 +89,55 @@ func (p *Projector) EvaluateProgram(prog *program.Program, baseline cpumodel.Wor
 
 // EvaluateProgramCtx is EvaluateProgram with cancellation and — on a
 // resilient projector — the same degradation ladder as EvaluateCtx.
+// Each phase runs the kernels and transfers stages over its own
+// EvalState, whose plan is the phase's residency-aware plan; the
+// phase's naive plan is priced through the same backend for the
+// savings comparison.
 func (p *Projector) EvaluateProgramCtx(ctx context.Context, prog *program.Program, baseline cpumodel.Workload) (ProgramReport, error) {
-	if err := prog.Validate(); err != nil {
+	plan, err := program.Analyze(prog)
+	if err != nil {
 		return ProgramReport{}, err
 	}
 	if err := baseline.Validate(); err != nil {
 		return ProgramReport{}, err
 	}
-	plan, err := program.Analyze(prog)
-	if err != nil {
-		return ProgramReport{}, err
-	}
 
-	rep := ProgramReport{Name: prog.Name, Resilient: p.meter != nil}
-	if p.health != nil {
-		for _, d := range p.health.Degradations {
-			rep.Degradations = append(rep.Degradations, "calibration: "+d)
-		}
-	}
+	rep := ProgramReport{Name: prog.Name, Resilient: p.meter != nil, Degradations: p.calibrationNotes()}
 	ctx, espan := trace.Start(ctx, "evaluate.program",
 		trace.String("program", prog.Name),
 		trace.Int("phases", int64(len(prog.Phases))))
 	defer espan.End()
 	for i, ph := range prog.Phases {
-		if err := ctx.Err(); err != nil {
-			return ProgramReport{}, err
+		pp := plan.Phases[i]
+		st := &EvalState{
+			Projector: p,
+			Workload:  Workload{Name: prog.Name, Seq: ph.Seq},
+			Plan:      datausage.Plan{Uploads: pp.Uploads, Downloads: pp.Downloads},
+			Report:    Report{Degradations: rep.Degradations},
 		}
 		phctx, phspan := trace.Start(ctx, fmt.Sprintf("phase %d", i+1))
-		var pr PhaseReport
-		for _, k := range ph.Seq.Kernels {
-			kctx, kspan := trace.Start(phctx, "kernel "+k.Name)
-			variant, proj, err := transform.BestCtx(kctx, k, p.m.GPUArch)
-			if err != nil {
-				kspan.End()
-				phspan.End()
-				return ProgramReport{}, fmt.Errorf("core: phase %d: %w", i, err)
-			}
-			measured, err := p.measureKernel(kctx, k.Name, variant.Ch, proj.Time, &rep.Degradations)
-			if err != nil {
-				kspan.End()
-				phspan.End()
-				return ProgramReport{}, fmt.Errorf("core: phase %d kernel %q: %w", i, k.Name, err)
-			}
-			pr.Kernels = append(pr.Kernels, KernelResult{
-				Kernel: k.Name, Variant: variant,
-				Predicted: proj.Time, Measured: measured,
-			})
-			iters := float64(ph.Seq.Iterations)
-			pr.PredKernelTime += proj.Time * iters
-			pr.MeasKernelTime += measured * iters
-			kspan.Advance(proj.Time * iters)
-			kspan.End()
+		err := runStages(phctx, st, phaseStages)
+		rep.Degradations = st.Report.Degradations
+		if err != nil {
+			phspan.End()
+			return ProgramReport{}, fmt.Errorf("core: phase %d: %w", i, err)
 		}
-		phasePlan := plan.Phases[i]
-		for _, tr := range append(append([]datausage.Transfer(nil),
-			phasePlan.Uploads...), phasePlan.Downloads...) {
-			dir := pcie.HostToDevice
-			if tr.Dir == datausage.Download {
-				dir = pcie.DeviceToHost
-			}
-			tctx, tspan := trace.Start(phctx, "transfer "+tr.String(),
-				trace.Int("bytes", tr.Bytes()))
-			pred, err := p.model.Predict(dir, tr.Bytes())
-			if err != nil {
-				tspan.End()
-				phspan.End()
-				return ProgramReport{}, err
-			}
-			meas, err := p.measureTransfer(tctx, tr.String(), dir, tr.Bytes(), pred, &rep.Degradations)
-			if err != nil {
-				tspan.End()
-				phspan.End()
-				return ProgramReport{}, err
-			}
-			pr.Transfers = append(pr.Transfers, TransferResult{
-				Transfer: tr, Predicted: pred, Measured: meas,
-			})
-			pr.PredTransferTime += pred
-			pr.MeasTransferTime += meas
-			tspan.Advance(pred)
-			tspan.End()
-		}
+		pr := PhaseReport{Kernels: st.Report.Kernels, Transfers: st.Report.Transfers}
+		pr.PredKernelTime, pr.MeasKernelTime, pr.PredTransferTime, pr.MeasTransferTime =
+			totals(pr.Kernels, pr.Transfers, float64(ph.Seq.Iterations))
 		rep.Phases = append(rep.Phases, pr)
 		phspan.SetAttr(trace.Float("pred_kernel_s", pr.PredKernelTime))
 		phspan.SetAttr(trace.Float("pred_transfer_s", pr.PredTransferTime))
 		phspan.End()
 
-		// Naive comparison: what this phase would transfer without
-		// residency tracking.
-		naive, err := datausage.Analyze(ph.Seq, ph.Hints)
-		if err != nil {
-			return ProgramReport{}, err
-		}
-		for _, tr := range naive.Uploads {
-			t, err := p.model.Predict(pcie.HostToDevice, tr.Bytes())
-			if err != nil {
-				return ProgramReport{}, err
+		for _, group := range [2][]datausage.Transfer{pp.Naive.Uploads, pp.Naive.Downloads} {
+			for _, tr := range group {
+				t, err := p.predictTransfer(busDir(tr), tr.Bytes())
+				if err != nil {
+					return ProgramReport{}, err
+				}
+				rep.NaiveTransferPred += t
 			}
-			rep.NaiveTransferPred += t
-		}
-		for _, tr := range naive.Downloads {
-			t, err := p.model.Predict(pcie.DeviceToHost, tr.Bytes())
-			if err != nil {
-				return ProgramReport{}, err
-			}
-			rep.NaiveTransferPred += t
 		}
 	}
 
@@ -206,3 +148,8 @@ func (p *Projector) EvaluateProgramCtx(ctx context.Context, prog *program.Progra
 	rep.CPUTime = cpu
 	return rep, nil
 }
+
+// phaseStages are the stages EvaluateProgramCtx runs per phase: the
+// plan comes from the program analysis, and the CPU baseline covers
+// the whole program.
+var phaseStages = []Stage{kernelStage{}, transferStage{}}

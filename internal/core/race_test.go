@@ -7,10 +7,10 @@ import (
 	"testing"
 )
 
-// TestConcurrentEvaluationsAreIdentical hammers the shared engine and
-// the package-global transform/brs caches from many goroutines at
+// TestConcurrentEvaluationsAreIdentical hammers the shared stage list
+// and the package-global transform/brs caches from many goroutines at
 // once. Each goroutine owns its projector (the simulated machine is
-// stateful) but all share DefaultEngine, the enumeration memo table,
+// stateful) but all share the stages, the enumeration memo table,
 // and the section-algebra op cache — the structures the parallel
 // candidate evaluation and the daemon's concurrent /project requests
 // contend on. Under -race this is the data-race gate; under plain

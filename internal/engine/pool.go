@@ -92,16 +92,16 @@ var (
 // Key identifies one cached calibration.
 type Key struct {
 	// Target is the registry name of the hardware target.
-	Target string
+	Target string `json:"target"`
 	// Backend is the registry name of the prediction backend
 	// (internal/backend). Different backends calibrate differently, so
 	// they never share a flight.
-	Backend string
+	Backend string `json:"backend"`
 	// Kind is the host memory kind the model was calibrated for.
-	Kind pcie.MemoryKind
+	Kind pcie.MemoryKind `json:"kind"`
 	// Seed is the machine seed; the bus noise stream derives from it,
 	// so calibrations at different seeds observe different transfers.
-	Seed uint64
+	Seed uint64 `json:"seed"`
 }
 
 // Entry is one completed calibration in portable form: everything a
@@ -109,13 +109,16 @@ type Key struct {
 // the bus. Export produces them, Warm consumes them, and
 // internal/store persists them.
 type Entry struct {
-	Key Key
+	Key Key `json:"key"`
 	// Model is the backend's global α/β summary, for display surfaces.
-	Model xfermodel.BusModel
+	Model xfermodel.BusModel `json:"model"`
 	// Fit is the backend's full calibration artifact; build restores
 	// the projector from it.
-	Fit      backend.Fit
-	BusState uint64
+	Fit backend.Fit `json:"fit"`
+	// BusState is the bus noise state right after the calibration
+	// transfers, which is what lets a warmed pool serve bit-identical
+	// reports.
+	BusState uint64 `json:"busState"`
 }
 
 // calibration is what one flight produces: the backend's fit and α/β

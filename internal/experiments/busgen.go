@@ -27,13 +27,8 @@ type BusGenRow struct {
 	PercentTransfer [3]float64
 }
 
-// BusGenerations evaluates every workload on each bus generation.
-func BusGenerations(seed uint64) ([]BusGenRow, error) {
-	return BusGenerationsCtx(context.Background(), seed)
-}
-
-// BusGenerationsCtx is BusGenerations under a context: per-kernel
-// wall-clock spans attach to the caller's trace.
+// BusGenerationsCtx evaluates every workload on each bus generation.
+// Per-kernel wall-clock spans attach to the caller's trace.
 func BusGenerationsCtx(ctx context.Context, seed uint64) ([]BusGenRow, error) {
 	ws, err := bench.All()
 	if err != nil {

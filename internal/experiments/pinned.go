@@ -31,14 +31,9 @@ type PinnedRow struct {
 // XferPenalty is the pageable/pinned transfer-time ratio.
 func (r PinnedRow) XferPenalty() float64 { return r.PageableXfer / r.PinnedXfer }
 
-// PinnedAssumption evaluates all workloads under both host memory
-// kinds on machines derived from seed.
-func PinnedAssumption(seed uint64) ([]PinnedRow, error) {
-	return PinnedAssumptionCtx(context.Background(), seed)
-}
-
-// PinnedAssumptionCtx is PinnedAssumption under a context: per-kernel
-// wall-clock spans attach to the caller's trace.
+// PinnedAssumptionCtx evaluates all workloads under both host memory
+// kinds on machines derived from seed. Per-kernel wall-clock spans
+// attach to the caller's trace.
 func PinnedAssumptionCtx(ctx context.Context, seed uint64) ([]PinnedRow, error) {
 	ws, err := bench.All()
 	if err != nil {

@@ -1,12 +1,13 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
 
 func TestPinnedAssumption(t *testing.T) {
-	rows, err := PinnedAssumption(DefaultSeed)
+	rows, err := PinnedAssumptionCtx(context.Background(), DefaultSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +35,7 @@ func TestPinnedAssumption(t *testing.T) {
 }
 
 func TestRenderPinnedAssumption(t *testing.T) {
-	rows, err := PinnedAssumption(DefaultSeed)
+	rows, err := PinnedAssumptionCtx(context.Background(), DefaultSeed)
 	if err != nil {
 		t.Fatal(err)
 	}

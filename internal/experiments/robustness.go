@@ -29,15 +29,10 @@ type RobustnessResult struct {
 	Flips int
 }
 
-// Robustness evaluates the full benchmark suite on n machine
-// instances derived from the context's base seed.
-func Robustness(baseSeed uint64, n int) (RobustnessResult, error) {
-	return RobustnessCtx(context.Background(), baseSeed, n)
-}
-
-// RobustnessCtx is Robustness under a context: cancellation stops
-// scheduling further machine instances and returns the context's
-// error joined with any evaluation failures.
+// RobustnessCtx evaluates the full benchmark suite on n machine
+// instances derived from baseSeed. Cancellation stops scheduling
+// further machine instances and returns the context's error joined
+// with any evaluation failures.
 func RobustnessCtx(ctx context.Context, baseSeed uint64, n int) (RobustnessResult, error) {
 	if n <= 0 {
 		return RobustnessResult{}, fmt.Errorf("experiments: robustness needs at least one seed")

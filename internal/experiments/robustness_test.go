@@ -8,7 +8,7 @@ import (
 )
 
 func TestRobustnessOrderingHoldsAcrossSeeds(t *testing.T) {
-	res, err := Robustness(DefaultSeed, 6)
+	res, err := RobustnessCtx(context.Background(), DefaultSeed, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,11 +30,11 @@ func TestRobustnessOrderingHoldsAcrossSeeds(t *testing.T) {
 }
 
 func TestRobustnessDeterministicAndParallelSafe(t *testing.T) {
-	a, err := Robustness(7, 4)
+	a, err := RobustnessCtx(context.Background(), 7, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Robustness(7, 4)
+	b, err := RobustnessCtx(context.Background(), 7, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,13 +52,13 @@ func TestRobustnessCtxCancelled(t *testing.T) {
 }
 
 func TestRobustnessRejectsZeroSeeds(t *testing.T) {
-	if _, err := Robustness(1, 0); err == nil {
+	if _, err := RobustnessCtx(context.Background(), 1, 0); err == nil {
 		t.Error("zero seeds accepted")
 	}
 }
 
 func TestRenderRobustness(t *testing.T) {
-	res, err := Robustness(DefaultSeed, 2)
+	res, err := RobustnessCtx(context.Background(), DefaultSeed, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,14 +7,17 @@ import (
 	"path/filepath"
 	"testing"
 
+	"grophecy/internal/backend"
 	"grophecy/internal/core"
 	"grophecy/internal/experiments"
 	"grophecy/internal/sklang"
 	"grophecy/internal/trace"
+	"grophecy/internal/xfermodel"
 )
 
 // TestSpanTreeWellFormed runs the instrumented pipeline on every
-// example skeleton in the repository and asserts the resulting trace
+// example skeleton in the repository, through every registered
+// prediction backend, and asserts the resulting trace
 // tree satisfies the structural invariants: every span closed,
 // non-negative durations, children nested inside their parent,
 // sibling start times monotone, and child durations summing to no
@@ -31,68 +34,75 @@ func TestSpanTreeWellFormed(t *testing.T) {
 	}
 	for _, file := range files {
 		t.Run(filepath.Base(file), func(t *testing.T) {
-			tracer := trace.New("grophecy")
-			ctx := trace.With(context.Background(), tracer)
-			p, err := core.NewProjector(core.NewMachine(experiments.DefaultSeed))
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			var predTotal float64
-			w, err := sklang.ParseFile(file)
-			switch {
-			case err == nil:
-				rep, err := p.EvaluateCtx(ctx, w)
-				if err != nil {
-					t.Fatal(err)
-				}
-				predTotal = rep.PredTotalGPU()
-			case errors.Is(err, sklang.ErrNotWorkload):
-				pw, err := sklang.ParseProgramFile(file)
-				if err != nil {
-					t.Fatal(err)
-				}
-				rep, err := p.EvaluateProgramCtx(ctx, pw.Prog, pw.CPU)
-				if err != nil {
-					t.Fatal(err)
-				}
-				pk, _, px, _ := rep.Totals()
-				predTotal = pk + px
-			default:
-				t.Fatal(err)
-			}
-
-			tracer.Close()
-			if err := tracer.Check(); err != nil {
-				t.Fatalf("trace ill-formed: %v", err)
-			}
-
-			root := tracer.Root().Interval()
-			if root.Start != 0 {
-				t.Errorf("root starts at %g, want 0", root.Start)
-			}
-			if math.Abs(root.Duration-predTotal) > 1e-9*(1+predTotal) {
-				t.Errorf("root duration %g != total projected GPU time %g",
-					root.Duration, predTotal)
-			}
-
-			// Every span's interval lies inside the root's, and the
-			// tree has real structure (more than just the root).
-			spans := 0
-			tracer.Walk(func(s *trace.Span, depth int) {
-				spans++
-				iv := s.Interval()
-				if iv.Duration < 0 {
-					t.Errorf("span %q has negative duration %g", s.Name(), iv.Duration)
-				}
-				if !root.Contains(iv) {
-					t.Errorf("span %q [%g, %g] outside the root interval", s.Name(), iv.Start, iv.End())
-				}
-			})
-			if spans < 3 {
-				t.Errorf("only %d spans recorded; pipeline not instrumented?", spans)
+			for _, bk := range backend.Default.Names() {
+				t.Run(bk, func(t *testing.T) { spanTreeWellFormed(t, bk, file) })
 			}
 		})
+	}
+}
+
+func spanTreeWellFormed(t *testing.T, bk, file string) {
+	tracer := trace.New("grophecy")
+	ctx := trace.With(context.Background(), tracer)
+	p, _, err := core.New(context.Background(),
+		core.NewMachine(experiments.DefaultSeed), bk, xfermodel.DefaultCalibration())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var predTotal float64
+	w, err := sklang.ParseFile(file)
+	switch {
+	case err == nil:
+		rep, err := p.EvaluateCtx(ctx, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		predTotal = rep.PredTotalGPU()
+	case errors.Is(err, sklang.ErrNotWorkload):
+		pw, err := sklang.ParseProgramFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := p.EvaluateProgramCtx(ctx, pw.Prog, pw.CPU)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pk, _, px, _ := rep.Totals()
+		predTotal = pk + px
+	default:
+		t.Fatal(err)
+	}
+
+	tracer.Close()
+	if err := tracer.Check(); err != nil {
+		t.Fatalf("trace ill-formed: %v", err)
+	}
+
+	root := tracer.Root().Interval()
+	if root.Start != 0 {
+		t.Errorf("root starts at %g, want 0", root.Start)
+	}
+	if math.Abs(root.Duration-predTotal) > 1e-9*(1+predTotal) {
+		t.Errorf("root duration %g != total projected GPU time %g",
+			root.Duration, predTotal)
+	}
+
+	// Every span's interval lies inside the root's, and the
+	// tree has real structure (more than just the root).
+	spans := 0
+	tracer.Walk(func(s *trace.Span, depth int) {
+		spans++
+		iv := s.Interval()
+		if iv.Duration < 0 {
+			t.Errorf("span %q has negative duration %g", s.Name(), iv.Duration)
+		}
+		if !root.Contains(iv) {
+			t.Errorf("span %q [%g, %g] outside the root interval", s.Name(), iv.Start, iv.End())
+		}
+	})
+	if spans < 3 {
+		t.Errorf("only %d spans recorded; pipeline not instrumented?", spans)
 	}
 }
 

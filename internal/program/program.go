@@ -75,6 +75,9 @@ type PhasePlan struct {
 	// (driven by CPUReads, or by program end for the last phase).
 	Uploads   []datausage.Transfer
 	Downloads []datausage.Transfer
+	// Naive is the phase's residency-blind plan: what it would
+	// transfer if planned on its own, as single-sequence analysis does.
+	Naive datausage.Plan
 }
 
 // Plan is the whole program's transfer schedule.
@@ -149,7 +152,7 @@ func Analyze(p *Program) (Plan, error) {
 			return Plan{}, fmt.Errorf("program: phase %d: %w", i, err)
 		}
 
-		var pp PhasePlan
+		pp := PhasePlan{Naive: local}
 		for _, up := range local.Uploads {
 			if resident.Covers(up.Section) {
 				continue // already on the GPU and still valid

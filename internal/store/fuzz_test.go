@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"grophecy/internal/engine"
 	"grophecy/internal/errdefs"
 )
 
@@ -31,7 +32,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		e, err := Decode(data, testHash)
 		if err != nil {
-			if !reflect.DeepEqual(e, Entry{}) {
+			if !reflect.DeepEqual(e, engine.Entry{}) {
 				t.Errorf("Decode returned a non-zero entry alongside error %v", err)
 			}
 			return

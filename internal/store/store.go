@@ -46,13 +46,11 @@ import (
 	"strings"
 	"time"
 
-	"grophecy/internal/backend"
+	"grophecy/internal/engine"
 	"grophecy/internal/errdefs"
 	"grophecy/internal/fault"
 	"grophecy/internal/metrics"
-	"grophecy/internal/pcie"
 	"grophecy/internal/telemetry"
-	"grophecy/internal/xfermodel"
 )
 
 // Snapshot instruments.
@@ -84,31 +82,11 @@ const (
 	QuarantineExt = ".quarantined"
 )
 
-// Key identifies one persisted calibration, mirroring the engine
-// pool's cache key.
-type Key struct {
-	Target  string          `json:"target"`
-	Backend string          `json:"backend"`
-	Kind    pcie.MemoryKind `json:"kind"`
-	Seed    uint64          `json:"seed"`
-}
-
-// Entry is one persisted calibration: the backend's fit and α/β
-// summary plus the bus-noise state right after the calibration
-// transfers, which is what lets a warmed pool serve bit-identical
-// reports.
-type Entry struct {
-	Key      Key                `json:"key"`
-	Model    xfermodel.BusModel `json:"model"`
-	Fit      backend.Fit        `json:"fit"`
-	BusState uint64             `json:"busState"`
-}
-
 // document is the JSON payload of a snapshot file.
 type document struct {
-	Schema       int    `json:"schema"`
-	RegistryHash string `json:"registryHash"`
-	Entry        Entry  `json:"entry"`
+	Schema       int          `json:"schema"`
+	RegistryHash string       `json:"registryHash"`
+	Entry        engine.Entry `json:"entry"`
 }
 
 // errStale marks a structurally valid snapshot written under a
@@ -121,7 +99,7 @@ var errStale = errors.New("stale snapshot")
 //	grophecy-snap v1
 //	sha256:<hex digest of the payload>
 //	<payload JSON>
-func Encode(e Entry, registryHash string) ([]byte, error) {
+func Encode(e engine.Entry, registryHash string) ([]byte, error) {
 	payload, err := json.Marshal(document{
 		Schema:       SchemaVersion,
 		RegistryHash: registryHash,
@@ -148,45 +126,45 @@ func Encode(e Entry, registryHash string) ([]byte, error) {
 // from another schema version or registry returns an error matching
 // errStale via errors.Is. Decode never panics, whatever the input:
 // FuzzSnapshotDecode holds it to that.
-func Decode(data []byte, registryHash string) (Entry, error) {
+func Decode(data []byte, registryHash string) (engine.Entry, error) {
 	head, rest, ok := strings.Cut(string(data), "\n")
 	if !ok || head != magic {
-		return Entry{}, errdefs.Corruptf("bad magic %.40q", head)
+		return engine.Entry{}, errdefs.Corruptf("bad magic %.40q", head)
 	}
 	sumLine, payload, ok := strings.Cut(rest, "\n")
 	if !ok || !strings.HasPrefix(sumLine, "sha256:") {
-		return Entry{}, errdefs.Corruptf("missing checksum line")
+		return engine.Entry{}, errdefs.Corruptf("missing checksum line")
 	}
 	want := strings.TrimPrefix(sumLine, "sha256:")
 	got := sha256.Sum256([]byte(payload))
 	if hex.EncodeToString(got[:]) != want {
-		return Entry{}, errdefs.Corruptf("checksum mismatch")
+		return engine.Entry{}, errdefs.Corruptf("checksum mismatch")
 	}
 	var doc document
 	if err := json.Unmarshal([]byte(payload), &doc); err != nil {
-		return Entry{}, errdefs.Corruptf("malformed payload: %v", err)
+		return engine.Entry{}, errdefs.Corruptf("malformed payload: %v", err)
 	}
 	if doc.Schema != SchemaVersion {
-		return Entry{}, fmt.Errorf("%w: schema %d (running %d)", errStale, doc.Schema, SchemaVersion)
+		return engine.Entry{}, fmt.Errorf("%w: schema %d (running %d)", errStale, doc.Schema, SchemaVersion)
 	}
 	if doc.RegistryHash != registryHash {
-		return Entry{}, fmt.Errorf("%w: registry hash %.12s (running %.12s)",
+		return engine.Entry{}, fmt.Errorf("%w: registry hash %.12s (running %.12s)",
 			errStale, doc.RegistryHash, registryHash)
 	}
 	e := doc.Entry
 	if e.Key.Target == "" || e.Key.Backend == "" || !e.Key.Kind.Valid() {
-		return Entry{}, errdefs.Corruptf("invalid key %+v", e.Key)
+		return engine.Entry{}, errdefs.Corruptf("invalid key %+v", e.Key)
 	}
 	if !e.Model.Valid() {
-		return Entry{}, errdefs.Corruptf("implausible model for %s/%s/%v/seed=%d",
+		return engine.Entry{}, errdefs.Corruptf("implausible model for %s/%s/%v/seed=%d",
 			e.Key.Target, e.Key.Backend, e.Key.Kind, e.Key.Seed)
 	}
 	if err := e.Fit.Validate(); err != nil {
-		return Entry{}, errdefs.Corruptf("invalid fit for %s/%s/%v/seed=%d: %v",
+		return engine.Entry{}, errdefs.Corruptf("invalid fit for %s/%s/%v/seed=%d: %v",
 			e.Key.Target, e.Key.Backend, e.Key.Kind, e.Key.Seed, err)
 	}
 	if e.Fit.Backend != e.Key.Backend || e.Fit.Kind != e.Key.Kind {
-		return Entry{}, errdefs.Corruptf("fit/key mismatch for %s/%s/%v/seed=%d",
+		return engine.Entry{}, errdefs.Corruptf("fit/key mismatch for %s/%s/%v/seed=%d",
 			e.Key.Target, e.Key.Backend, e.Key.Kind, e.Key.Seed)
 	}
 	return e, nil
@@ -222,7 +200,7 @@ func (s *Store) Dir() string { return s.dir }
 // filename derives the content-addressed file name of a key: a
 // SHA-256 over the key, the registry hash, and the schema version, so
 // two registries (or schema versions) never collide on a file.
-func (s *Store) filename(k Key) string {
+func (s *Store) filename(k engine.Key) string {
 	h := sha256.Sum256([]byte(fmt.Sprintf("%s|%s|%d|%d|%s|%d",
 		k.Target, k.Backend, k.Kind, k.Seed, s.hash, SchemaVersion)))
 	return hex.EncodeToString(h[:16]) + Ext
@@ -232,14 +210,14 @@ func (s *Store) filename(k Key) string {
 // of the directory. A failed write (including an injected chaos
 // fault) leaves no trace of the new entry and never damages an old
 // one.
-func (s *Store) Put(e Entry) error {
+func (s *Store) Put(e engine.Entry) error {
 	return s.PutCtx(context.Background(), e)
 }
 
 // PutCtx is Put under a context: when the context carries a request
 // wall tracer (the daemon's write-through path), the snapshot I/O
 // shows up on the request's trace as a snap.put span.
-func (s *Store) PutCtx(ctx context.Context, e Entry) error {
+func (s *Store) PutCtx(ctx context.Context, e engine.Entry) error {
 	_, span := telemetry.Start(ctx, "snap.put")
 	span.SetAttr(telemetry.String("snap_target", e.Key.Target))
 	defer span.End()
@@ -253,7 +231,7 @@ func (s *Store) PutCtx(ctx context.Context, e Entry) error {
 	return nil
 }
 
-func (s *Store) put(e Entry) error {
+func (s *Store) put(e engine.Entry) error {
 	if err := s.chaos.SnapshotWriteError(); err != nil {
 		return fmt.Errorf("store: writing %s/%v/seed=%d: %w",
 			e.Key.Target, e.Key.Kind, e.Key.Seed, err)
@@ -305,13 +283,13 @@ func syncDir(dir string) error {
 // SaveAll persists every entry, continuing past individual failures
 // and joining their errors — a periodic snapshot should save what it
 // can.
-func (s *Store) SaveAll(entries []Entry) error {
+func (s *Store) SaveAll(entries []engine.Entry) error {
 	return s.SaveAllCtx(context.Background(), entries)
 }
 
 // SaveAllCtx is SaveAll under a context, wrapped in a snap.save wall
 // span when one is being recorded.
-func (s *Store) SaveAllCtx(ctx context.Context, entries []Entry) error {
+func (s *Store) SaveAllCtx(ctx context.Context, entries []engine.Entry) error {
 	ctx, span := telemetry.Start(ctx, "snap.save")
 	span.SetAttr(telemetry.Int("snap_entries", int64(len(entries))))
 	defer span.End()
@@ -328,7 +306,7 @@ func (s *Store) SaveAllCtx(ctx context.Context, entries []Entry) error {
 type Result struct {
 	// Entries are the verified calibrations, sorted by key for
 	// deterministic warm-start order.
-	Entries []Entry
+	Entries []engine.Entry
 	// Stale counts structurally valid files from another schema
 	// version or registry hash (skipped, left in place).
 	Stale int

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"grophecy/internal/backend"
+	"grophecy/internal/engine"
 	"grophecy/internal/errdefs"
 	"grophecy/internal/fault"
 	"grophecy/internal/pcie"
@@ -19,7 +20,7 @@ import (
 
 const testHash = "0123456789abcdef0123456789abcdef0123456789abcdef0123456789abcdef"
 
-func entry(target string, seed uint64) Entry {
+func entry(target string, seed uint64) engine.Entry {
 	var bm xfermodel.BusModel
 	bm.Kind = pcie.Pinned
 	bm.CalibrationCost = 0.25
@@ -30,8 +31,8 @@ func entry(target string, seed uint64) Entry {
 	if err != nil {
 		panic(err)
 	}
-	return Entry{
-		Key:      Key{Target: target, Backend: backend.DefaultName, Kind: pcie.Pinned, Seed: seed},
+	return engine.Entry{
+		Key:      engine.Key{Target: target, Backend: backend.DefaultName, Kind: pcie.Pinned, Seed: seed},
 		Model:    bm,
 		Fit:      backend.Fit{Backend: backend.DefaultName, Kind: pcie.Pinned, Payload: payload},
 		BusState: 0xdeadbeefcafe ^ seed,
@@ -107,9 +108,9 @@ func TestPutLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []Entry{entry("a-target", 1), entry("a-target", 2), entry("b-target", 1)}
+	want := []engine.Entry{entry("a-target", 1), entry("a-target", 2), entry("b-target", 1)}
 	// Save in scrambled order; Load must return sorted-by-key.
-	for _, e := range []Entry{want[2], want[0], want[1]} {
+	for _, e := range []engine.Entry{want[2], want[0], want[1]} {
 		if err := s.Put(e); err != nil {
 			t.Fatal(err)
 		}
@@ -282,7 +283,7 @@ func TestSaveAllContinuesPastFailures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var entries []Entry
+	var entries []engine.Entry
 	for seed := uint64(1); seed <= 16; seed++ {
 		entries = append(entries, entry("a-target", seed))
 	}
@@ -318,7 +319,7 @@ func TestFilenameIsContentAddressed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k := Key{Target: "a-target", Backend: backend.DefaultName, Kind: pcie.Pinned, Seed: 1}
+	k := engine.Key{Target: "a-target", Backend: backend.DefaultName, Kind: pcie.Pinned, Seed: 1}
 	if a.filename(k) != a.filename(k) {
 		t.Error("filename unstable for one key")
 	}
