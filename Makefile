@@ -25,8 +25,11 @@ race:
 build:
 	$(GO) build ./...
 
+# vet also fails when any Go file in the tree is not gofmt-formatted.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l reports unformatted files:"; echo "$$unformatted"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -108,6 +111,7 @@ fuzz:
 # 10 seconds per fuzz target — quick pre-commit confidence pass.
 fuzz-short:
 	$(GO) test -run=xxx -fuzz=FuzzParse -fuzztime=10s ./internal/sklang/
+	$(GO) test -run=xxx -fuzz=FuzzLexEquivalence -fuzztime=10s ./internal/sklang/
 	$(GO) test -run=xxx -fuzz=FuzzChromeJSON -fuzztime=10s ./internal/trace/
 	$(GO) test -run=xxx -fuzz=FuzzSnapshotDecode -fuzztime=10s ./internal/store/
 	$(GO) test -run=xxx -fuzz=FuzzTraceparent -fuzztime=10s ./internal/telemetry/

@@ -57,3 +57,28 @@ func TestWholeArrayFastPathsAllocBudget(t *testing.T) {
 		t.Fatalf("whole-array Intersect allocates %.0f per op, budget is 0", got)
 	}
 }
+
+// stringSink keeps budgeted String results on the heap, as real
+// callers keep them.
+var stringSink string
+
+// Section.String appends into a stack buffer and allocates only the
+// returned string.
+func TestSectionStringAllocBudget(t *testing.T) {
+	a := skeleton.NewArray("temp", skeleton.Float32, 1024, 1024, 4)
+	cases := []struct {
+		s    Section
+		want string
+	}{
+		{Section{Array: a, Bounds: []Bound{{0, 1023, 1}, {-1, 1022, 1}, {0, 2, 2}}}, "temp[0:1023][-1:1022][0:2:2]"},
+		{WholeArray(a), "temp[*]"},
+	}
+	for _, c := range cases {
+		if got := c.s.String(); got != c.want {
+			t.Fatalf("String() = %q, want %q", got, c.want)
+		}
+		if got := testing.AllocsPerRun(200, func() { stringSink = c.s.String() }); got != 1 {
+			t.Errorf("%s: String allocates %.0f per call, budget is 1", c.want, got)
+		}
+	}
+}

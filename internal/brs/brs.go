@@ -21,7 +21,7 @@ package brs
 import (
 	"fmt"
 	"sort"
-	"strings"
+	"strconv"
 
 	"grophecy/internal/metrics"
 	"grophecy/internal/skeleton"
@@ -132,10 +132,20 @@ func (b Bound) intersect(o Bound) (Bound, bool) {
 
 // String implements fmt.Stringer, e.g. "0:1023" or "0:1022:2".
 func (b Bound) String() string {
-	if b.Stride == 1 {
-		return fmt.Sprintf("%d:%d", b.Lo, b.Hi)
+	var buf [64]byte
+	return string(b.appendString(buf[:0]))
+}
+
+// appendString appends the String form of the bound to dst.
+func (b Bound) appendString(dst []byte) []byte {
+	dst = strconv.AppendInt(dst, b.Lo, 10)
+	dst = append(dst, ':')
+	dst = strconv.AppendInt(dst, b.Hi, 10)
+	if b.Stride != 1 {
+		dst = append(dst, ':')
+		dst = strconv.AppendInt(dst, b.Stride, 10)
 	}
-	return fmt.Sprintf("%d:%d:%d", b.Lo, b.Hi, b.Stride)
+	return dst
 }
 
 // Section is the bounded regular section of one array.
@@ -346,16 +356,22 @@ func Intersect(a, b Section) (Section, bool) {
 // String implements fmt.Stringer, e.g. "temp[0:1023][0:1023]" or
 // "vals[*]" for whole-array sections.
 func (s Section) String() string {
-	var b strings.Builder
-	b.WriteString(s.Array.Name)
+	var buf [64]byte
+	return string(s.AppendString(buf[:0]))
+}
+
+// AppendString appends the String form of the section to dst.
+func (s Section) AppendString(dst []byte) []byte {
+	dst = append(dst, s.Array.Name...)
 	if s.Whole {
-		b.WriteString("[*]")
-		return b.String()
+		return append(dst, "[*]"...)
 	}
 	for _, bd := range s.Bounds {
-		fmt.Fprintf(&b, "[%s]", bd.String())
+		dst = append(dst, '[')
+		dst = bd.appendString(dst)
+		dst = append(dst, ']')
 	}
-	return b.String()
+	return dst
 }
 
 // Set maintains one merged section per array — the UNION lists the

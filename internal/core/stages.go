@@ -155,6 +155,9 @@ func (kernelStage) Run(ctx context.Context, st *EvalState) error {
 // one transfer per array per direction).
 type transferStage struct{}
 
+// transferSpanPrefix starts the span name of each planned transfer.
+const transferSpanPrefix = "transfer "
+
 func (transferStage) Name() string { return "transfers" }
 
 func (transferStage) Run(ctx context.Context, st *EvalState) error {
@@ -166,8 +169,13 @@ func (transferStage) Run(ctx context.Context, st *EvalState) error {
 				return err
 			}
 			dir := busDir(tr)
+			// One string serves as the span name and, past its
+			// prefix, as the transfer's label.
+			var buf [128]byte
+			name := string(tr.AppendString(append(buf[:0], transferSpanPrefix...)))
+			label := name[len(transferSpanPrefix):]
 			tctx := obs.WithPhase(ctx, "transfer")
-			tctx, tspan := trace.Start(tctx, "transfer "+tr.String(),
+			tctx, tspan := trace.Start(tctx, name,
 				trace.Int("bytes", tr.Bytes()),
 				trace.String("dir", tr.Dir.String()))
 			pred, err := p.predictTransfer(dir, tr.Bytes())
@@ -175,7 +183,7 @@ func (transferStage) Run(ctx context.Context, st *EvalState) error {
 				tspan.End()
 				return err
 			}
-			meas, err := p.measureTransfer(tctx, tr.String(), dir, tr.Bytes(), pred, &st.Report.Degradations)
+			meas, err := p.measureTransfer(tctx, label, dir, tr.Bytes(), pred, &st.Report.Degradations)
 			if err != nil {
 				tspan.End()
 				return err

@@ -246,18 +246,20 @@ func (s *Sim) Run(w Workload) (float64, error) {
 }
 
 // MeasureMean returns the arithmetic mean over runs measurements of
-// one iteration, the paper's measurement protocol.
+// one iteration, the paper's measurement protocol. The noiseless
+// time is computed once; each run draws its own noise factor, exactly
+// as runs calls of Run would.
 func (s *Sim) MeasureMean(w Workload, runs int) (float64, error) {
 	if runs <= 0 {
 		return 0, fmt.Errorf("cpumodel: MeasureMean needs at least one run")
 	}
+	base, err := s.BaseTime(w)
+	if err != nil {
+		return 0, err
+	}
 	var sum float64
 	for i := 0; i < runs; i++ {
-		t, err := s.Run(w)
-		if err != nil {
-			return 0, err
-		}
-		sum += t
+		sum += base * s.noise.LogNormalFactor(s.cfg.NoiseSigma)
 	}
 	return sum / float64(runs), nil
 }

@@ -28,6 +28,7 @@ package datausage
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"grophecy/internal/brs"
@@ -85,7 +86,18 @@ func (t Transfer) Bytes() int64 { return t.Section.Bytes() }
 
 // String implements fmt.Stringer, e.g. "upload temp[0:1023][0:1023] (4MB)".
 func (t Transfer) String() string {
-	return fmt.Sprintf("%s %s (%d bytes)", t.Dir, t.Section, t.Bytes())
+	var buf [96]byte
+	return string(t.AppendString(buf[:0]))
+}
+
+// AppendString appends the String form of the transfer to dst.
+func (t Transfer) AppendString(dst []byte) []byte {
+	dst = append(dst, t.Dir.String()...)
+	dst = append(dst, ' ')
+	dst = t.Section.AppendString(dst)
+	dst = append(dst, " ("...)
+	dst = strconv.AppendInt(dst, t.Bytes(), 10)
+	return append(dst, " bytes)"...)
 }
 
 // Plan is the complete transfer plan for a kernel sequence.

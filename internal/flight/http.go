@@ -18,20 +18,20 @@ import (
 
 // Summary is one row of the GET /runs index.
 type Summary struct {
-	ID         string  `json:"id"`
-	Workload   string  `json:"workload"`
-	DataSize   string  `json:"dataSize"`
-	Iterations int     `json:"iterations"`
-	Seed       uint64  `json:"seed"`
+	ID         string `json:"id"`
+	Workload   string `json:"workload"`
+	DataSize   string `json:"dataSize"`
+	Iterations int    `json:"iterations"`
+	Seed       uint64 `json:"seed"`
 	// JobID and DependsOn surface the run's batch-DAG edges (absent
 	// for single runs and edge-free batches).
-	JobID     string   `json:"jobId,omitempty"`
-	DependsOn []string `json:"dependsOn,omitempty"`
-	Speedup   float64  `json:"speedupFull,omitempty"`
-	Err        string  `json:"error,omitempty"`
-	Start      string  `json:"start"`
-	DurationMS float64 `json:"durationMs"`
-	HasTrace   bool    `json:"hasTrace"`
+	JobID      string   `json:"jobId,omitempty"`
+	DependsOn  []string `json:"dependsOn,omitempty"`
+	Speedup    float64  `json:"speedupFull,omitempty"`
+	Err        string   `json:"error,omitempty"`
+	Start      string   `json:"start"`
+	DurationMS float64  `json:"durationMs"`
+	HasTrace   bool     `json:"hasTrace"`
 	// HasWallTrace reports whether a wall-clock trace is retained;
 	// TraceID keys the run into the OTLP export when it is.
 	HasWallTrace bool   `json:"hasWallTrace"`

@@ -97,26 +97,34 @@ func (s *Sim) Run(ch perfmodel.Characteristics) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
+	return s.launch(base), nil
+}
+
+// launch observes one launch of a kernel whose noiseless time is
+// base: it draws the run's noise factor and records the launch.
+func (s *Sim) launch(base float64) float64 {
 	t := base * s.noise.LogNormalFactor(s.cfg.NoiseSigma)
 	mLaunches.Inc()
 	mLaunchSeconds.Observe(t)
-	return t, nil
+	return t
 }
 
 // MeasureMean simulates runs launches and returns the mean time,
 // mirroring the paper's measurement protocol (arithmetic mean of ten
-// runs, §IV-A).
+// runs, §IV-A). The warp simulation is deterministic, so it runs
+// once; each launch then draws its own noise factor, exactly as runs
+// calls of Run would.
 func (s *Sim) MeasureMean(ch perfmodel.Characteristics, runs int) (float64, error) {
 	if runs <= 0 {
 		return 0, fmt.Errorf("gpusim: MeasureMean needs at least one run")
 	}
+	base, err := s.BaseTime(ch)
+	if err != nil {
+		return 0, err
+	}
 	var sum float64
 	for i := 0; i < runs; i++ {
-		t, err := s.Run(ch)
-		if err != nil {
-			return 0, err
-		}
-		sum += t
+		sum += s.launch(base)
 	}
 	return sum / float64(runs), nil
 }

@@ -497,20 +497,31 @@ func (b *Bus) pageableTime(dir Direction, size int64) float64 {
 // are legal and cost roughly the setup latency, matching CUDA's
 // behaviour for cudaMemcpy with count 0.
 func (b *Bus) Transfer(dir Direction, kind MemoryKind, size int64) (float64, error) {
-	base, err := b.BaseTime(dir, kind, size) // validates args
+	setup, stream, err := b.split(dir, kind, size)
 	if err != nil {
 		return 0, err
 	}
-
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	return b.observe(dir, size, setup, stream), nil
+}
 
-	// Split the base time into its latency-like and streaming-like
-	// components so jitter scales the way real buses behave: absolute
-	// jitter on setup, relative jitter on streaming.
-	setup := b.setupPortion(dir, kind, size)
-	stream := base - setup
+// split validates the transfer and splits its noiseless time into the
+// latency-like and streaming-like components, so jitter scales the
+// way real buses behave: absolute jitter on setup, relative jitter on
+// streaming.
+func (b *Bus) split(dir Direction, kind MemoryKind, size int64) (setup, stream float64, err error) {
+	base, err := b.BaseTime(dir, kind, size) // validates args
+	if err != nil {
+		return 0, 0, err
+	}
+	setup = b.setupPortion(dir, kind, size)
+	return setup, base - setup, nil
+}
 
+// observe draws one transfer's noise around its noiseless setup and
+// stream times and records it in the bus counters. b.mu must be held.
+func (b *Bus) observe(dir Direction, size int64, setup, stream float64) float64 {
 	t := setup*b.noise.LogNormalFactor(b.cfg.LatencyJitterSigma) +
 		stream*b.noise.LogNormalFactor(b.cfg.BandwidthJitterSigma)
 	if b.noise.Bernoulli(b.cfg.SpikeProbability) {
@@ -532,7 +543,7 @@ func (b *Bus) Transfer(dir Direction, kind MemoryKind, size int64) (float64, err
 	mTransfers.Inc()
 	mBytes.Add(size)
 	mTransferSeconds.Observe(t)
-	return t, nil
+	return t
 }
 
 func (b *Bus) setupPortion(dir Direction, kind MemoryKind, size int64) float64 {
@@ -550,18 +561,22 @@ func (b *Bus) setupPortion(dir Direction, kind MemoryKind, size int64) float64 {
 // MeasureMean performs runs transfers and returns the arithmetic mean
 // of the observed times — the measurement primitive used both by the
 // model calibration (which averages 10 runs, §III-C) and by the
-// validation sweeps.
+// validation sweeps. The noiseless time is computed once; each run
+// draws its own noise and advances the counters, exactly as runs
+// calls of Transfer would.
 func (b *Bus) MeasureMean(dir Direction, kind MemoryKind, size int64, runs int) (float64, error) {
 	if runs <= 0 {
 		return 0, errdefs.Invalidf("pcie: MeasureMean needs at least one run, got %d", runs)
 	}
+	setup, stream, err := b.split(dir, kind, size)
+	if err != nil {
+		return 0, err
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
 	var sum float64
 	for i := 0; i < runs; i++ {
-		t, err := b.Transfer(dir, kind, size)
-		if err != nil {
-			return 0, err
-		}
-		sum += t
+		sum += b.observe(dir, size, setup, stream)
 	}
 	return sum / float64(runs), nil
 }

@@ -442,7 +442,8 @@ type Kernel struct {
 
 // Validate checks kernel structure: non-empty, valid loops and
 // statements, unique loop variables, parallel-outside-sequential, and
-// all index expressions referencing declared loop variables.
+// all index expressions referencing declared loop variables. A valid
+// kernel validates without allocating.
 func (k *Kernel) Validate() error {
 	if k.Name == "" {
 		return fmt.Errorf("skeleton: kernel with empty name")
@@ -453,24 +454,24 @@ func (k *Kernel) Validate() error {
 	if len(k.Stmts) == 0 {
 		return fmt.Errorf("skeleton: kernel %q has no statements", k.Name)
 	}
-	seen := make(map[string]bool)
 	seenSeq := false
-	for _, l := range k.Loops {
+	nPar := 0
+	for i, l := range k.Loops {
 		if err := l.Validate(); err != nil {
 			return fmt.Errorf("kernel %q: %w", k.Name, err)
 		}
-		if seen[l.Var] {
+		if k.loopIndex(l.Var) < i {
 			return fmt.Errorf("skeleton: kernel %q reuses loop variable %q", k.Name, l.Var)
 		}
-		seen[l.Var] = true
 		if l.Parallel && seenSeq {
 			return fmt.Errorf("skeleton: kernel %q has parallel loop %q inside sequential loop", k.Name, l.Var)
 		}
-		if !l.Parallel {
+		if l.Parallel {
+			nPar++
+		} else {
 			seenSeq = true
 		}
 	}
-	nPar := len(k.ParallelLoops())
 	for i, s := range k.Stmts {
 		if err := s.Validate(); err != nil {
 			return fmt.Errorf("kernel %q statement %d: %w", k.Name, i, err)
@@ -479,26 +480,58 @@ func (k *Kernel) Validate() error {
 			return fmt.Errorf("skeleton: kernel %q statement %d depth %d outside [%d,%d]",
 				k.Name, i, s.Depth, nPar, len(k.Loops))
 		}
-		inScope := make(map[string]bool)
-		for _, l := range k.Loops[:k.effectiveDepth(s)] {
-			inScope[l.Var] = true
-		}
+		depth := k.effectiveDepth(s)
 		for _, ac := range s.Accesses {
 			for _, e := range ac.Index {
-				for _, v := range e.Vars() {
-					if !seen[v] {
-						return fmt.Errorf("skeleton: kernel %q access %s references undeclared loop variable %q",
-							k.Name, ac.String(), v)
-					}
-					if !inScope[v] {
-						return fmt.Errorf("skeleton: kernel %q access %s references loop variable %q below its depth",
-							k.Name, ac.String(), v)
-					}
+				if !k.indexInScope(e, depth) {
+					return k.indexScopeError(ac, e, depth)
 				}
 			}
 		}
 	}
 	return nil
+}
+
+// loopIndex returns the position of the first loop over variable v,
+// or -1 when no loop declares it.
+func (k *Kernel) loopIndex(v string) int {
+	for i, l := range k.Loops {
+		if l.Var == v {
+			return i
+		}
+	}
+	return -1
+}
+
+// indexInScope reports whether every variable e references is the
+// index of one of the loops enclosing a statement at depth.
+func (k *Kernel) indexInScope(e IndexExpr, depth int) bool {
+	for v, c := range e.Coeffs {
+		if c == 0 {
+			continue
+		}
+		if i := k.loopIndex(v); i < 0 || i >= depth {
+			return false
+		}
+	}
+	return true
+}
+
+// indexScopeError reports the first offending variable of an index
+// expression that failed indexInScope, in sorted variable order.
+func (k *Kernel) indexScopeError(ac Access, e IndexExpr, depth int) error {
+	for _, v := range e.Vars() {
+		i := k.loopIndex(v)
+		if i < 0 {
+			return fmt.Errorf("skeleton: kernel %q access %s references undeclared loop variable %q",
+				k.Name, ac.String(), v)
+		}
+		if i >= depth {
+			return fmt.Errorf("skeleton: kernel %q access %s references loop variable %q below its depth",
+				k.Name, ac.String(), v)
+		}
+	}
+	panic("skeleton: indexScopeError called on an in-scope index")
 }
 
 // effectiveDepth resolves a statement's Depth (0 means innermost).

@@ -18,25 +18,7 @@ func FuzzParse(f *testing.F) {
 		}
 		f.Add(string(data))
 	}
-	seeds := []string{
-		"",
-		"#",
-		`workload "W" size "s"`,
-		"array a[1] float32",
-		"temporary sparse array z[9] complex128",
-		"kernel k { parfor i in 0..4 { stmt flops=1 { load a[i] } } }",
-		"kernel k { for s in 0..4 step 2 { } }",
-		"sequence iterations=3 { k }",
-		"cpu elements=1 flops=0.5 vectorizable=true",
-		"load a[2*i-1+j]",
-		"load a[?]",
-		"0..", "..", "\"", "a[", "stmt {", "}}}}",
-		"array a[999999999999999999999] float32",
-		"parfor parfor parfor",
-		"phase { run k cpu_reads a cpu_writes b }",
-		"phase iterations=2 { }",
-	}
-	for _, s := range seeds {
+	for _, s := range fuzzParseSeeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
@@ -57,4 +39,24 @@ func FuzzParse(f *testing.F) {
 			t.Fatalf("formatted output does not re-parse: %v\n%s", err, out)
 		}
 	})
+}
+
+// fuzzParseSeeds are syntax shards that reach every parser production.
+var fuzzParseSeeds = []string{
+	"",
+	"#",
+	`workload "W" size "s"`,
+	"array a[1] float32",
+	"temporary sparse array z[9] complex128",
+	"kernel k { parfor i in 0..4 { stmt flops=1 { load a[i] } } }",
+	"kernel k { for s in 0..4 step 2 { } }",
+	"sequence iterations=3 { k }",
+	"cpu elements=1 flops=0.5 vectorizable=true",
+	"load a[2*i-1+j]",
+	"load a[?]",
+	"0..", "..", "\"", "a[", "stmt {", "}}}}",
+	"array a[999999999999999999999] float32",
+	"parfor parfor parfor",
+	"phase { run k cpu_reads a cpu_writes b }",
+	"phase iterations=2 { }",
 }

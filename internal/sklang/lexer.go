@@ -2,8 +2,8 @@ package sklang
 
 import (
 	"fmt"
-	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // tokenKind enumerates the lexical classes of the skeleton language.
@@ -94,36 +94,53 @@ func errorf(p pos, format string, args ...interface{}) *Error {
 }
 
 // lexer scans skeleton source into tokens. '#' starts a comment to
-// end of line; whitespace separates tokens.
+// end of line; whitespace separates tokens. It walks the source in
+// place, byte by byte for ASCII and decoding only non-ASCII runes,
+// and slices token text out of the source. Columns count runes, and
+// each invalid UTF-8 byte reads as one U+FFFD, as ranging over the
+// string does.
 type lexer struct {
-	src  []rune
-	off  int
+	src  string
+	off  int // byte offset into src
 	line int
-	col  int
+	col  int // rune column
 }
 
 func newLexer(src string) *lexer {
-	return &lexer{src: []rune(src), line: 1, col: 1}
+	return &lexer{src: src, line: 1, col: 1}
 }
 
 func (l *lexer) pos() pos { return pos{Line: l.line, Col: l.col} }
 
-func (l *lexer) peek() rune {
-	if l.off >= len(l.src) {
+// runeAt decodes the rune starting at byte offset off, or 0 past the
+// end of the source.
+func (l *lexer) runeAt(off int) rune {
+	if off >= len(l.src) {
 		return 0
 	}
-	return l.src[l.off]
+	if c := l.src[off]; c < utf8.RuneSelf {
+		return rune(c)
+	}
+	r, _ := utf8.DecodeRuneInString(l.src[off:])
+	return r
 }
 
+func (l *lexer) peek() rune { return l.runeAt(l.off) }
+
 func (l *lexer) advance() rune {
-	r := l.src[l.off]
-	l.off++
-	if r == '\n' {
-		l.line++
-		l.col = 1
-	} else {
-		l.col++
+	if c := l.src[l.off]; c < utf8.RuneSelf {
+		l.off++
+		if c == '\n' {
+			l.line++
+			l.col = 1
+		} else {
+			l.col++
+		}
+		return rune(c)
 	}
+	r, n := utf8.DecodeRuneInString(l.src[l.off:])
+	l.off += n
+	l.col++
 	return r
 }
 
@@ -199,57 +216,62 @@ func (l *lexer) next() (token, error) {
 
 func (l *lexer) lexString(start pos) (token, error) {
 	l.advance() // opening quote
-	var b strings.Builder
+	from := l.off
 	for {
 		if l.off >= len(l.src) {
 			return token{}, errorf(start, "unterminated string")
 		}
 		r := l.advance()
 		if r == '"' {
-			return token{Kind: tokString, Text: b.String(), Pos: start}, nil
+			text := l.src[from : l.off-1]
+			if !utf8.ValidString(text) {
+				// One U+FFFD per invalid byte, as a rune-wise copy gives.
+				text = string([]rune(text))
+			}
+			return token{Kind: tokString, Text: text, Pos: start}, nil
 		}
 		if r == '\n' {
 			return token{}, errorf(start, "newline in string")
 		}
-		b.WriteRune(r)
 	}
 }
 
 func (l *lexer) lexNumber(start pos) (token, error) {
-	var b strings.Builder
+	from := l.off
 	kind := tokInt
 	for l.off < len(l.src) && unicode.IsDigit(l.peek()) {
-		b.WriteRune(l.advance())
+		l.advance()
 	}
 	// A fraction part — but only when not followed by a second dot
 	// (the range operator '..').
-	if l.peek() == '.' && l.off+1 < len(l.src) && unicode.IsDigit(l.src[l.off+1]) {
+	if l.peek() == '.' && unicode.IsDigit(l.runeAt(l.off+1)) {
 		kind = tokFloat
-		b.WriteRune(l.advance())
+		l.advance()
 		for l.off < len(l.src) && unicode.IsDigit(l.peek()) {
-			b.WriteRune(l.advance())
+			l.advance()
 		}
 	}
-	return token{Kind: kind, Text: b.String(), Pos: start}, nil
+	return token{Kind: kind, Text: l.src[from:l.off], Pos: start}, nil
 }
 
 func (l *lexer) lexIdent(start pos) (token, error) {
-	var b strings.Builder
+	from := l.off
 	for l.off < len(l.src) {
 		r := l.peek()
-		if unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_' {
-			b.WriteRune(l.advance())
-		} else {
+		if !unicode.IsLetter(r) && !unicode.IsDigit(r) && r != '_' {
 			break
 		}
+		l.advance()
 	}
-	return token{Kind: tokIdent, Text: b.String(), Pos: start}, nil
+	return token{Kind: tokIdent, Text: l.src[from:l.off], Pos: start}, nil
 }
 
 // lexAll scans the whole source, for the parser's lookahead buffer.
 func lexAll(src string) ([]token, error) {
 	l := newLexer(src)
-	var toks []token
+	// Formatted skeletons run 4-5 source bytes per token, so this
+	// capacity holds the shipped ones without regrowing.
+	toks := make([]token, 0, len(src)/4+1)
 	for {
 		t, err := l.next()
 		if err != nil {
