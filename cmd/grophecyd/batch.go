@@ -123,7 +123,7 @@ type jobOutcome struct {
 	id           string
 	dependsOn    []string
 	runID        string
-	report       []byte // raw report.JSON bytes; nil on failure
+	report       []byte // the report's JSON, indented or compact; nil on failure
 	wl           string
 	tgt          string
 	backend      string
@@ -367,7 +367,7 @@ func (s *server) handleBatch(w http.ResponseWriter, req *http.Request) {
 					r.err = err
 				}
 			}
-			outcomes[i] = s.run(ctx, r)
+			outcomes[i] = s.run(ctx, r, stream)
 			return outcomes[i].err
 		},
 		Done: func(i int, err error) {
@@ -386,7 +386,7 @@ func (s *server) handleBatch(w http.ResponseWriter, req *http.Request) {
 			if !stream || writeErr != nil {
 				return
 			}
-			row, err := rowJSON(i, outcomes[i], true)
+			row, err := rowJSON(i, outcomes[i])
 			if err == nil {
 				row = append(row, '\n')
 				_, err = w.Write(row)
@@ -481,12 +481,12 @@ type batchRow struct {
 // rowJSON renders one response row. The encoding/json package
 // re-compacts RawMessage values on Marshal, which would break the
 // byte-for-byte report contract — so the row is marshalled without
-// its report and the raw report.JSON bytes are spliced in before the
-// closing brace. Streamed (NDJSON) rows must be one physical line, so
-// they compact the report instead — same JSON value, no literal
-// newlines; the byte-identity contract applies to the buffered
-// document.
-func rowJSON(i int, out jobOutcome, compact bool) ([]byte, error) {
+// its report and the report bytes are spliced in verbatim before the
+// closing brace. The buffered document's rows carry report.JSON's
+// indented bytes; streamed (NDJSON) rows must be one physical line,
+// so their jobs ran with report.CompactJSON — same JSON value, no
+// literal newlines.
+func rowJSON(i int, out jobOutcome) ([]byte, error) {
 	row := batchRow{
 		Index:     i,
 		ID:        out.id,
@@ -509,18 +509,10 @@ func rowJSON(i int, out jobOutcome, compact bool) ([]byte, error) {
 	if out.report == nil {
 		return meta, nil
 	}
-	rep := out.report
-	if compact {
-		var buf bytes.Buffer
-		if err := json.Compact(&buf, rep); err != nil {
-			return nil, err
-		}
-		rep = buf.Bytes()
-	}
-	spliced := make([]byte, 0, len(meta)+len(rep)+len(`,"report":}`))
+	spliced := make([]byte, 0, len(meta)+len(out.report)+len(`,"report":}`))
 	spliced = append(spliced, meta[:len(meta)-1]...) // strip the closing brace
 	spliced = append(spliced, `,"report":`...)
-	spliced = append(spliced, rep...)
+	spliced = append(spliced, out.report...)
 	spliced = append(spliced, '}')
 	return spliced, nil
 }
@@ -536,7 +528,7 @@ func writeBatchResponse(w io.Writer, outcomes []jobOutcome, withSkips bool) erro
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		row, err := rowJSON(i, out, false)
+		row, err := rowJSON(i, out)
 		if err != nil {
 			return err
 		}

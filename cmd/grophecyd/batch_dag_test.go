@@ -8,6 +8,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -442,5 +444,63 @@ func TestBatchDagDepthGauge(t *testing.T) {
 	}
 	if got := mBatchDagDepth.Value(); got != 3 {
 		t.Errorf("grophecyd_batch_dag_depth = %v, want 3", got)
+	}
+}
+
+// TestNoTransferSkeletonProjects: a workload whose arrays are all
+// temporary moves no bytes, so its transfer-only speedup is +Inf. It
+// is a valid projection: /project answers 200 with a null there, and
+// /batch rows — buffered and streamed — carry the same report. Every
+// streamed report is the compacted single-call body.
+func TestNoTransferSkeletonProjects(t *testing.T) {
+	srv, _, _ := startDaemon(t, daemonConfig{})
+	data, err := os.ReadFile(filepath.Join("..", "..", "internal", "golden", "testdata", "notransfer.sk"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := string(data)
+
+	resp, single := post(t, srv.URL+"/project", src)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST /project: %d %s", resp.StatusCode, single)
+	}
+	if !bytes.Contains(single, []byte(`"speedupTransferOnly": null,`)) || !json.Valid(single) {
+		t.Fatalf("POST /project body lacks a null transfer-only speedup:\n%s", single)
+	}
+	var compact bytes.Buffer
+	if err := json.Compact(&compact, single); err != nil {
+		t.Fatal(err)
+	}
+	hot := hotspotSource(t)
+	_, hotSingle := post(t, srv.URL+"/project", hot)
+	var hotCompact bytes.Buffer
+	if err := json.Compact(&hotCompact, hotSingle); err != nil {
+		t.Fatal(err)
+	}
+
+	jobs, err := json.Marshal([]batchJob{{Skeleton: src}, {Skeleton: hot}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, doc, raw := postDAGBatch(t, srv.URL, string(jobs))
+	if resp.StatusCode != http.StatusOK || doc.Succeeded != 2 {
+		t.Fatalf("POST /batch: %d\n%s", resp.StatusCode, raw)
+	}
+	if !bytes.Equal(doc.Jobs[0].Report, single) || !bytes.Equal(doc.Jobs[1].Report, hotSingle) {
+		t.Errorf("buffered batch reports differ from POST /project:\n%s", raw)
+	}
+
+	resp, rows, _ := postNDJSON(t, srv.URL, string(jobs))
+	if resp.StatusCode != http.StatusOK || len(rows) != 2 {
+		t.Fatalf("streamed POST /batch: %d, %d rows", resp.StatusCode, len(rows))
+	}
+	for _, row := range rows {
+		want := hotCompact.Bytes()
+		if row.Index == 0 {
+			want = compact.Bytes()
+		}
+		if row.Status != http.StatusOK || !bytes.Equal(row.Report, want) {
+			t.Errorf("streamed row %d: status %d, report\n%s\nwant\n%s", row.Index, row.Status, row.Report, want)
+		}
 	}
 }

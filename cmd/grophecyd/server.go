@@ -563,7 +563,7 @@ func (s *server) handleProject(w http.ResponseWriter, req *http.Request) {
 	event.Set("target", r.tgt.Name)
 	event.Set("backend", r.backend)
 	event.Set("seed", r.seed)
-	out := s.run(ctx, r)
+	out := s.run(ctx, r, false)
 	w.Header().Set("X-Run-Id", out.runID)
 	event.Set("run", out.runID)
 	if out.err != nil {
@@ -627,8 +627,9 @@ func (s *server) projectJob(w http.ResponseWriter, req *http.Request) (resolvedJ
 // run is the lifecycle every projection shares, a /project request
 // and each /batch job alike: it mints the run ID, evaluates under a
 // simulated-time tracer with a projector from newProjector, records
-// the run in the flight recorder, and encodes the report.
-func (s *server) run(ctx context.Context, r resolvedJob) jobOutcome {
+// the run in the flight recorder, and encodes the report — indented,
+// or compact for a streamed /batch row, never both.
+func (s *server) run(ctx context.Context, r resolvedJob, compact bool) jobOutcome {
 	out := jobOutcome{
 		id:        r.id,
 		dependsOn: r.dependsOn,
@@ -681,6 +682,10 @@ func (s *server) run(ctx context.Context, r resolvedJob) jobOutcome {
 
 	out.speedup = rep.SpeedupFull()
 	out.degradations = len(rep.Degradations)
-	out.report, out.err = report.JSON(rep)
+	if compact {
+		out.report = report.CompactJSON(rep)
+	} else {
+		out.report, out.err = report.JSON(rep)
+	}
 	return out
 }

@@ -82,3 +82,12 @@ func TestSectionStringAllocBudget(t *testing.T) {
 		}
 	}
 }
+
+// FromAccess allocates only the section's bounds: loops are found by
+// scanning the nest, and index variables are walked in a stack buffer.
+func TestFromAccessAllocBudget(t *testing.T) {
+	ac, loops := benchAccess()
+	if got := testing.AllocsPerRun(200, func() { FromAccess(ac, loops) }); got != 1 {
+		t.Fatalf("FromAccess allocates %.0f per op, budget is 1", got)
+	}
+}

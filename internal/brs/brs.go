@@ -176,17 +176,14 @@ func FromAccess(ac skeleton.Access, loops []skeleton.Loop) Section {
 	if ac.Irregular() {
 		return WholeArray(ac.Array)
 	}
-	byVar := make(map[string]skeleton.Loop, len(loops))
-	for _, l := range loops {
-		byVar[l.Var] = l
-	}
+	var buf [4]string
 	bounds := make([]Bound, len(ac.Index))
 	for dim, e := range ac.Index {
 		lo, hi := e.Const, e.Const
 		stride := int64(0)
 		emptyLoop := false
-		for _, v := range e.Vars() {
-			l, ok := byVar[v]
+		for _, v := range e.AppendVars(buf[:0]) {
+			l, ok := loopOf(loops, v)
 			if !ok {
 				panic(fmt.Sprintf("brs: access %s references loop %q not in nest", ac.String(), v))
 			}
@@ -223,6 +220,18 @@ func FromAccess(ac skeleton.Access, loops []skeleton.Loop) Section {
 		bounds[dim] = Bound{Lo: lo, Hi: hi, Stride: stride}
 	}
 	return Section{Array: ac.Array, Bounds: bounds}
+}
+
+// loopOf finds the loop of nest that binds v. It scans from the
+// innermost loop, so a variable bound twice resolves to the inner
+// binding; validation rejects such nests anyway.
+func loopOf(nest []skeleton.Loop, v string) (skeleton.Loop, bool) {
+	for i := len(nest) - 1; i >= 0; i-- {
+		if nest[i].Var == v {
+			return nest[i], true
+		}
+	}
+	return skeleton.Loop{}, false
 }
 
 // Validate checks structural sanity.

@@ -85,6 +85,17 @@ func loops2D(n int64) []skeleton.Loop {
 	return []skeleton.Loop{skeleton.ParLoop("i", n), skeleton.ParLoop("j", n)}
 }
 
+// A variable bound by two loops of the nest resolves to the inner
+// one, the binding a by-variable map built outer to inner would keep.
+func TestFromAccessDuplicateLoopVarResolvesInnermost(t *testing.T) {
+	a := skeleton.NewArray("a", skeleton.Float32, 1000)
+	loops := []skeleton.Loop{skeleton.ParLoop("i", 10), skeleton.ParLoop("i", 100)}
+	s := FromAccess(skeleton.LoadOf(a, skeleton.Idx("i")), loops)
+	if want := (Bound{0, 99, 1}); len(s.Bounds) != 1 || s.Bounds[0] != want {
+		t.Fatalf("bounds = %+v, want [%+v]", s.Bounds, want)
+	}
+}
+
 func TestFromAccessSimple(t *testing.T) {
 	a := grid(t, 64)
 	s := FromAccess(skeleton.LoadOf(a, skeleton.Idx("i"), skeleton.Idx("j")), loops2D(64))

@@ -36,7 +36,12 @@ var skeletons = []string{"cfd", "hotspot", "srad", "stassuij"}
 // default seed, exactly as `grophecy -skeleton` does.
 func evaluate(t *testing.T, name string) core.Report {
 	t.Helper()
-	w, err := sklang.ParseFile(filepath.Join("..", "..", "skeletons", name+".sk"))
+	return evaluateFile(t, filepath.Join("..", "..", "skeletons", name+".sk"))
+}
+
+func evaluateFile(t *testing.T, path string) core.Report {
+	t.Helper()
+	w, err := sklang.ParseFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,6 +97,18 @@ func TestGoldenJSONReport(t *testing.T) {
 		t.Fatal(err)
 	}
 	check(t, "hotspot.json", append(data, '\n'))
+}
+
+// TestGoldenNoTransferReport pins a workload that moves no bytes: its
+// one array is temporary, so the transfer time is zero and the
+// transfer-only speedup is +Inf. The JSON report writes it as null.
+func TestGoldenNoTransferReport(t *testing.T) {
+	rep := evaluateFile(t, filepath.Join("testdata", "notransfer.sk"))
+	data, err := report.JSON(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(t, "notransfer.json", append(data, '\n'))
 }
 
 // TestGoldenFaultedReport pins the resilient pipeline: HotSpot at the

@@ -5,7 +5,6 @@
 package report
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 
@@ -67,36 +66,6 @@ func Text(r core.Report) string {
 		b.WriteString("would actually be a slowdown — transfer modeling flips the verdict.\n")
 	}
 	return b.String()
-}
-
-// jsonReport is the machine-readable projection: the report's raw
-// numbers plus the derived quantities a consumer would otherwise have
-// to recompute.
-type jsonReport struct {
-	core.Report
-	Derived struct {
-		MeasuredSpeedup     float64 `json:"measuredSpeedup"`
-		SpeedupFull         float64 `json:"speedupFull"`
-		SpeedupKernelOnly   float64 `json:"speedupKernelOnly"`
-		SpeedupTransferOnly float64 `json:"speedupTransferOnly"`
-		ErrFull             float64 `json:"errFull"`
-		ErrKernelOnly       float64 `json:"errKernelOnly"`
-		PercentTransfer     float64 `json:"percentTransfer"`
-	} `json:"derived"`
-}
-
-// JSON renders the report as indented JSON, including the derived
-// speedup and error figures.
-func JSON(r core.Report) ([]byte, error) {
-	out := jsonReport{Report: r}
-	out.Derived.MeasuredSpeedup = r.MeasuredSpeedup()
-	out.Derived.SpeedupFull = r.SpeedupFull()
-	out.Derived.SpeedupKernelOnly = r.SpeedupKernelOnly()
-	out.Derived.SpeedupTransferOnly = r.SpeedupTransferOnly()
-	out.Derived.ErrFull = r.ErrFull()
-	out.Derived.ErrKernelOnly = r.ErrKernelOnly()
-	out.Derived.PercentTransfer = r.PercentTransfer()
-	return json.MarshalIndent(out, "", "  ")
 }
 
 func indent(s string) string {

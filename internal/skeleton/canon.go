@@ -34,7 +34,8 @@ func (e IndexExpr) AppendCanonical(dst []byte) []byte {
 		return append(dst, "?|"...)
 	}
 	dst = strconv.AppendInt(dst, e.Const, 10)
-	for _, v := range e.Vars() {
+	var buf [4]string
+	for _, v := range e.AppendVars(buf[:0]) {
 		dst = append(dst, '+')
 		dst = strconv.AppendInt(dst, e.Coeffs[v], 10)
 		dst = append(dst, '*')

@@ -28,7 +28,6 @@ package skeleton
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -215,14 +214,27 @@ func (e IndexExpr) Coeff(v string) int64 { return e.Coeffs[v] }
 
 // Vars returns the referenced loop variables in sorted order.
 func (e IndexExpr) Vars() []string {
-	vars := make([]string, 0, len(e.Coeffs))
+	return e.AppendVars(make([]string, 0, len(e.Coeffs)))
+}
+
+// AppendVars appends the referenced loop variables (those with a
+// nonzero coefficient) to dst in sorted order and returns the
+// extended slice. With a caller-owned buffer of enough capacity it
+// allocates nothing, which is why hot paths use it over Vars.
+func (e IndexExpr) AppendVars(dst []string) []string {
+	n := len(dst)
 	for v, c := range e.Coeffs {
-		if c != 0 {
-			vars = append(vars, v)
+		if c == 0 {
+			continue
+		}
+		// Insertion sort: an index references a handful of
+		// variables at most.
+		dst = append(dst, v)
+		for i := len(dst) - 1; i > n && dst[i] < dst[i-1]; i-- {
+			dst[i], dst[i-1] = dst[i-1], dst[i]
 		}
 	}
-	sort.Strings(vars)
-	return vars
+	return dst
 }
 
 // String implements fmt.Stringer, e.g. "i+1", "2*j", "?" (irregular).

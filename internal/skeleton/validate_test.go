@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"grophecy/internal/bench"
@@ -116,5 +117,42 @@ func TestKernelValidateAllocBudget(t *testing.T) {
 		if got := testing.AllocsPerRun(100, func() { _ = k.Validate() }); got != 0 {
 			t.Errorf("kernel %s: Validate allocates %.0f per call, budget is 0", k.Name, got)
 		}
+	}
+}
+
+// Canonical keys are built on every transform-memo lookup: into a
+// presized buffer they allocate nothing, per index and per kernel.
+func TestAppendCanonicalAllocBudget(t *testing.T) {
+	buf := make([]byte, 0, 4096)
+	for _, k := range shippedKernels(t) {
+		for _, s := range k.Stmts {
+			for _, ac := range s.Accesses {
+				for _, e := range ac.Index {
+					if got := testing.AllocsPerRun(100, func() { buf = e.AppendCanonical(buf[:0]) }); got != 0 {
+						t.Errorf("kernel %s: IndexExpr.AppendCanonical allocates %.0f per call, budget is 0", k.Name, got)
+					}
+				}
+			}
+		}
+		if got := testing.AllocsPerRun(100, func() { buf = k.AppendCanonical(buf[:0]) }); got != 0 {
+			t.Errorf("kernel %s: Kernel.AppendCanonical allocates %.0f per call, budget is 0", k.Name, got)
+		}
+	}
+}
+
+func TestAppendVars(t *testing.T) {
+	e := skeleton.IndexExpr{Coeffs: map[string]int64{"k": 2, "a": 1, "z": 0, "j": -3, "b": 4}}
+	want := []string{"x", "a", "b", "j", "k"}
+	for i := 0; i < 20; i++ { // map order varies between runs
+		if got := e.AppendVars([]string{"x"}); !slices.Equal(got, want) {
+			t.Fatalf("AppendVars = %q, want %q", got, want)
+		}
+	}
+	if got := e.Vars(); !slices.Equal(got, want[1:]) {
+		t.Fatalf("Vars = %q, want %q", got, want[1:])
+	}
+	var buf [4]string
+	if got := testing.AllocsPerRun(100, func() { e.AppendVars(buf[:0]) }); got != 0 {
+		t.Errorf("AppendVars into a stack buffer allocates %.0f per call, budget is 0", got)
 	}
 }

@@ -69,7 +69,7 @@ func (t *Tracer) ChromeJSON() ([]byte, error) {
 		if attrs := s.Attrs(); len(attrs) > 0 {
 			ev.Args = make(map[string]string, len(attrs))
 			for _, a := range attrs {
-				ev.Args[a.Key] = a.Value
+				ev.Args[a.Key] = a.Value()
 			}
 		}
 		doc.TraceEvents = append(doc.TraceEvents, ev)

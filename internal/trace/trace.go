@@ -23,6 +23,7 @@ package trace
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"sync"
@@ -48,30 +49,60 @@ func (iv Interval) Contains(o Interval) bool {
 	return o.Start >= iv.Start-eps && o.End() <= iv.End()+eps
 }
 
-// Attr is one span attribute. Values are pre-formatted strings so the
-// export is deterministic regardless of type.
+// Attr is one span attribute. The value is stored as it was given
+// and formatted only when an export reads it (Value), so spans on a
+// hot path that nobody exports cost no string formatting.
 type Attr struct {
-	Key   string
-	Value string
+	Key  string
+	kind attrKind
+	str  string
+	num  uint64 // int64 bits, float64 bits, or 0/1 for a bool
 }
 
+type attrKind uint8
+
+const (
+	kindString attrKind = iota
+	kindInt
+	kindFloat
+	kindBool
+)
+
 // String builds a string attribute.
-func String(key, value string) Attr { return Attr{Key: key, Value: value} }
+func String(key, value string) Attr { return Attr{Key: key, str: value} }
 
 // Int builds an integer attribute.
 func Int(key string, value int64) Attr {
-	return Attr{Key: key, Value: strconv.FormatInt(value, 10)}
+	return Attr{Key: key, kind: kindInt, num: uint64(value)}
 }
 
-// Float builds a float attribute with deterministic shortest
-// round-trip formatting.
+// Float builds a float attribute.
 func Float(key string, value float64) Attr {
-	return Attr{Key: key, Value: strconv.FormatFloat(value, 'g', -1, 64)}
+	return Attr{Key: key, kind: kindFloat, num: math.Float64bits(value)}
 }
 
 // Bool builds a boolean attribute.
 func Bool(key string, value bool) Attr {
-	return Attr{Key: key, Value: strconv.FormatBool(value)}
+	a := Attr{Key: key, kind: kindBool}
+	if value {
+		a.num = 1
+	}
+	return a
+}
+
+// Value formats the attribute's value deterministically: strings as
+// given, integers in decimal, floats in shortest round-trip 'g'
+// format, booleans as true or false.
+func (a Attr) Value() string {
+	switch a.kind {
+	case kindInt:
+		return strconv.FormatInt(int64(a.num), 10)
+	case kindFloat:
+		return strconv.FormatFloat(math.Float64frombits(a.num), 'g', -1, 64)
+	case kindBool:
+		return strconv.FormatBool(a.num != 0)
+	}
+	return a.str
 }
 
 // Span is one node of the trace tree. All methods are safe on a nil

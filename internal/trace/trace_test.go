@@ -2,6 +2,8 @@ package trace
 
 import (
 	"context"
+	"math"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -74,8 +76,38 @@ func TestSetAttrReplaces(t *testing.T) {
 	sp.SetAttr(String("b", "1"))
 	sp.End()
 	attrs := sp.Attrs()
-	if len(attrs) != 2 || attrs[0] != (Attr{"b", "1"}) || attrs[1] != (Attr{"k", "new"}) {
+	if len(attrs) != 2 ||
+		attrs[0].Key != "b" || attrs[0].Value() != "1" ||
+		attrs[1].Key != "k" || attrs[1].Value() != "new" {
 		t.Fatalf("attrs = %v", attrs)
+	}
+}
+
+// TestAttrValueMatchesEagerFormat pins Value to the strings the
+// constructors formatted eagerly before attributes were stored typed.
+func TestAttrValueMatchesEagerFormat(t *testing.T) {
+	for _, v := range []int64{0, 1, -1, 42, math.MaxInt64, math.MinInt64} {
+		if got, want := Int("k", v).Value(), strconv.FormatInt(v, 10); got != want {
+			t.Errorf("Int(%d).Value() = %q, want %q", v, got, want)
+		}
+	}
+	for _, v := range []float64{
+		0, math.Copysign(0, -1), 1, -2.5, 1e21, 1e-7, 123456789.125,
+		math.SmallestNonzeroFloat64, math.MaxFloat64, math.Inf(1), math.Inf(-1), math.NaN(),
+	} {
+		if got, want := Float("k", v).Value(), strconv.FormatFloat(v, 'g', -1, 64); got != want {
+			t.Errorf("Float(%v).Value() = %q, want %q", v, got, want)
+		}
+	}
+	for _, v := range []bool{false, true} {
+		if got, want := Bool("k", v).Value(), strconv.FormatBool(v); got != want {
+			t.Errorf("Bool(%v).Value() = %q, want %q", v, got, want)
+		}
+	}
+	for _, v := range []string{"", "x", "1", "true"} {
+		if got := String("k", v).Value(); got != v {
+			t.Errorf("String(%q).Value() = %q", v, got)
+		}
 	}
 }
 

@@ -28,7 +28,7 @@ func (t *Tracer) Tree() string {
 		if attrs := s.Attrs(); len(attrs) > 0 {
 			parts := make([]string, len(attrs))
 			for i, a := range attrs {
-				parts[i] = a.Key + "=" + a.Value
+				parts[i] = a.Key + "=" + a.Value()
 			}
 			fmt.Fprintf(&b, " [%s]", strings.Join(parts, " "))
 		}
