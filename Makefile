@@ -112,6 +112,7 @@ fuzz:
 fuzz-short:
 	$(GO) test -run=xxx -fuzz=FuzzParse -fuzztime=10s ./internal/sklang/
 	$(GO) test -run=xxx -fuzz=FuzzLexEquivalence -fuzztime=10s ./internal/sklang/
+	$(GO) test -run=xxx -fuzz=FuzzIndexExprTerms -fuzztime=10s ./internal/sklang/
 	$(GO) test -run=xxx -fuzz=FuzzChromeJSON -fuzztime=10s ./internal/trace/
 	$(GO) test -run=xxx -fuzz=FuzzReportJSON -fuzztime=10s ./internal/report/
 	$(GO) test -run=xxx -fuzz=FuzzSnapshotDecode -fuzztime=10s ./internal/store/

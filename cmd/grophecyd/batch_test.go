@@ -8,6 +8,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -199,6 +201,46 @@ func TestBatchPartialFailure(t *testing.T) {
 	// like /project's.
 	if !strings.Contains(doc.Jobs[2].Error, target.DefaultName) {
 		t.Errorf("unknown-target row does not list registered targets: %q", doc.Jobs[2].Error)
+	}
+}
+
+// TestOverflowingSkeletonsRejected: skeletons whose index bounds or
+// array footprint overflow int64 used to project with wrapped
+// arithmetic and answer 200 with an unsound transfer plan. They are
+// invalid input: /project answers 400, and a /batch row carries 400
+// next to a good row that still succeeds — as does a row whose
+// skeleton does not parse at all.
+func TestOverflowingSkeletonsRejected(t *testing.T) {
+	srv, _, _ := startDaemon(t, daemonConfig{})
+	files, err := filepath.Glob(filepath.Join("..", "..", "internal", "skeleton", "testdata", "overflow_*.sk"))
+	if err != nil || len(files) != 2 {
+		t.Fatalf("overflow skeletons: %v %v", files, err)
+	}
+	for _, f := range files {
+		data, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := string(data)
+		resp, body := post(t, srv.URL+"/project", src)
+		if resp.StatusCode != http.StatusBadRequest || !bytes.Contains(body, []byte("overflow")) {
+			t.Errorf("%s: POST /project %d %s, want 400 naming the overflow", f, resp.StatusCode, body)
+		}
+		jobs, err := json.Marshal([]batchJob{{Skeleton: src}, {Skeleton: hotspotSource(t)}, {Skeleton: "kernel {"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, doc, raw := postBatch(t, srv.URL, string(jobs))
+		if resp.StatusCode != http.StatusOK || doc.Succeeded != 1 || doc.Failed != 2 {
+			t.Fatalf("%s: POST /batch %d\n%s", f, resp.StatusCode, raw)
+		}
+		if row := doc.Jobs[0]; row.Status != http.StatusBadRequest || len(row.Report) != 0 ||
+			!strings.Contains(row.Error, "overflow") {
+			t.Errorf("%s: batch row status %d error %q, want 400 naming the overflow", f, row.Status, row.Error)
+		}
+		if row := doc.Jobs[2]; row.Status != http.StatusBadRequest {
+			t.Errorf("unparsable skeleton row: status %d, want 400", row.Status)
+		}
 	}
 }
 

@@ -65,7 +65,7 @@ func BenchmarkDaemonProject(b *testing.B) {
 
 // TestDaemonProjectAllocBudget is the allocation ratchet on the warm
 // projection path: a hot POST /project, parse to recorded response,
-// stays within 440 allocations. Lower the budget when the path gets
+// stays within 350 allocations. Lower the budget when the path gets
 // leaner; raising it needs a reason.
 func TestDaemonProjectAllocBudget(t *testing.T) {
 	s, srcs := hotDaemon(t)
@@ -74,8 +74,8 @@ func TestDaemonProjectAllocBudget(t *testing.T) {
 		serveProject(t, s, srcs[i%len(srcs)])
 		i++
 	})
-	if got > 440 {
-		t.Fatalf("hot POST /project allocates %.0f per request, budget is 440", got)
+	if got > 350 {
+		t.Fatalf("hot POST /project allocates %.0f per request, budget is 350", got)
 	}
 	t.Logf("hot POST /project: %.0f allocs per request", got)
 }

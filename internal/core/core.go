@@ -263,7 +263,7 @@ func (r Report) LimitSpeedups() (measured, predicted float64) {
 // GROPHECY++ when run on a new system", §III-C), with New to
 // calibrate a named prediction backend (internal/backend) — resiliently
 // when the machine has armed faults — or with NewRestoredProjector to
-// rebuild one from a persisted fit.
+// wrap an instance restored from a persisted fit.
 type Projector struct {
 	m    *Machine
 	kind pcie.MemoryKind
@@ -343,28 +343,22 @@ func New(ctx context.Context, m *Machine, backendName string, cfg xfermodel.Cali
 	return p, fit, nil
 }
 
-// NewRestoredProjector rebuilds a projector from a persisted backend
-// fit without performing any calibration transfers. The caller is
-// responsible for the machine's bus noise stream being positioned
-// where a fresh calibration would have left it
-// (pcie.Bus.SetNoiseState); the calibration cache in internal/engine
-// owns that bookkeeping.
-func NewRestoredProjector(m *Machine, fit backend.Fit) (*Projector, error) {
+// NewRestoredProjector builds a projector around an instance the
+// named backend restored from a persisted fit (backend.Backend.Restore)
+// for the given memory kind, without performing any calibration
+// transfers. Instances are immutable, so one restored instance may
+// serve any number of projectors. The caller is responsible for the
+// machine's bus noise stream being positioned where a fresh
+// calibration would have left it (pcie.Bus.SetNoiseState); the
+// calibration cache in internal/engine owns that bookkeeping.
+func NewRestoredProjector(m *Machine, backendName string, kind pcie.MemoryKind, inst backend.Instance) (*Projector, error) {
 	if m == nil {
 		return nil, errdefs.Invalidf("core: NewRestoredProjector with nil machine")
 	}
-	b, err := backend.Get(fit.Backend)
-	if err != nil {
-		return nil, err
-	}
-	inst, err := b.Restore(fit)
-	if err != nil {
-		return nil, err
-	}
 	return &Projector{
 		m:           m,
-		kind:        fit.Kind,
-		backendName: b.Name(),
+		kind:        kind,
+		backendName: backendName,
 		inst:        inst,
 		model:       inst.Linear,
 	}, nil

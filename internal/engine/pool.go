@@ -122,12 +122,15 @@ type Entry struct {
 }
 
 // calibration is what one flight produces: the backend's fit and α/β
-// summary plus the bus noise state right after the calibration
-// transfers.
+// summary, the bus noise state right after the calibration transfers,
+// and the instance restored once from the fit. Instances are
+// immutable, so the flight's owner and every later hit project through
+// the same one instead of decoding the fit per request.
 type calibration struct {
 	model    xfermodel.BusModel
 	fit      backend.Fit
 	busState uint64
+	inst     backend.Instance
 }
 
 // flight is one singleflight slot: the first goroutine for a key
@@ -341,7 +344,8 @@ func (p *Pool) Warm(entries []Entry) int {
 		if err != nil {
 			continue
 		}
-		if _, err := b.Restore(e.Fit); err != nil {
+		inst, err := b.Restore(e.Fit)
+		if err != nil {
 			continue
 		}
 		if _, ok := p.flights[e.Key]; ok {
@@ -352,7 +356,7 @@ func (p *Pool) Warm(entries []Entry) int {
 		}
 		f := &flight{
 			ready: make(chan struct{}),
-			cal:   calibration{model: e.Model, fit: e.Fit, busState: e.BusState},
+			cal:   calibration{model: e.Model, fit: e.Fit, busState: e.BusState, inst: inst},
 			done:  true,
 		}
 		close(f.ready)
@@ -468,7 +472,7 @@ func (p *Pool) Projector(ctx context.Context, tgt target.Target, backendName str
 			}
 			p.hits.Add(1)
 			mHits.Inc()
-			return p.build(tgt, seed, kind, f.cal)
+			return p.build(tgt, seed, f.cal)
 		}
 
 		// Cache miss — consult the key's breaker before owning a
@@ -515,7 +519,7 @@ func (p *Pool) Projector(ctx context.Context, tgt target.Target, backendName str
 		if f.err != nil {
 			return nil, f.err
 		}
-		return p.build(tgt, seed, kind, f.cal)
+		return p.build(tgt, seed, f.cal)
 	}
 }
 
@@ -652,7 +656,10 @@ func (p *Pool) evictLocked() {
 
 // calibrate runs the key's backend calibration on a throwaway machine
 // and captures the fit, the α/β summary, and the bus state it left
-// behind. The caller's context is checked before the expensive work
+// behind, and restores the instance every projection for the key uses
+// from the fit — so the owner's projection is bit-identical to a hit's,
+// and to one on a pool warmed from the persisted entry. The caller's
+// context is checked before the expensive work
 // and again after it, so a cancelled request neither starts a
 // calibration it no longer wants nor caches a result it observed only
 // partially.
@@ -670,14 +677,22 @@ func (p *Pool) calibrate(ctx context.Context, key Key, tgt target.Target, seed u
 	if err := ctx.Err(); err != nil {
 		return calibration{}, err
 	}
-	return calibration{model: proj.BusModel(), fit: fit, busState: m.Bus.NoiseState()}, nil
+	b, err := backend.Get(key.Backend)
+	if err != nil {
+		return calibration{}, err
+	}
+	inst, err := b.Restore(fit)
+	if err != nil {
+		return calibration{}, err
+	}
+	return calibration{model: proj.BusModel(), fit: fit, busState: m.Bus.NoiseState(), inst: inst}, nil
 }
 
 // build assembles a caller-private machine positioned exactly where a
-// fresh calibration would have left it, and restores the cached
-// backend fit around it.
-func (p *Pool) build(tgt target.Target, seed uint64, kind pcie.MemoryKind, cal calibration) (*core.Projector, error) {
+// fresh calibration would have left it, around the calibration's
+// restored instance.
+func (p *Pool) build(tgt target.Target, seed uint64, cal calibration) (*core.Projector, error) {
 	m := tgt.Machine(seed)
 	m.Bus.SetNoiseState(cal.busState)
-	return core.NewRestoredProjector(m, cal.fit)
+	return core.NewRestoredProjector(m, cal.fit.Backend, cal.fit.Kind, cal.inst)
 }

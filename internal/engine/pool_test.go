@@ -42,15 +42,7 @@ func freshJSON(t *testing.T, tgt target.Target, w core.Workload) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := p.Evaluate(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := report.JSON(rep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
+	return projectJSON(t, p, w)
 }
 
 func pooledJSON(t *testing.T, pool *Pool, tgt target.Target, w core.Workload) []byte {
@@ -59,6 +51,12 @@ func pooledJSON(t *testing.T, pool *Pool, tgt target.Target, w core.Workload) []
 	if err != nil {
 		t.Fatal(err)
 	}
+	return projectJSON(t, p, w)
+}
+
+// projectJSON evaluates w through p and encodes the report.
+func projectJSON(t *testing.T, p *core.Projector, w core.Workload) []byte {
+	t.Helper()
 	rep, err := p.Evaluate(w)
 	if err != nil {
 		t.Fatal(err)

@@ -105,7 +105,15 @@ func TestRestoredBackendMatchesLive(t *testing.T) {
 
 			m2 := core.NewMachine(experiments.DefaultSeed)
 			m2.Bus.SetNoiseState(busState)
-			rp, err := core.NewRestoredProjector(m2, fit)
+			b, err := backend.Get(bk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			inst, err := b.Restore(fit)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rp, err := core.NewRestoredProjector(m2, bk, fit.Kind, inst)
 			if err != nil {
 				t.Fatal(err)
 			}

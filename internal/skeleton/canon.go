@@ -25,21 +25,20 @@ package skeleton
 import "strconv"
 
 // AppendCanonical appends the canonical content encoding of the
-// expression: the constant, then each referenced variable with its
-// coefficient in sorted order, or an irregular marker. Zero-coefficient
-// entries are dropped, so "x" and "x + 0*y" encode identically — they
+// expression: the constant, then each term's coefficient and variable
+// in sorted order, or an irregular marker. Terms in normal form carry
+// no zero coefficient, so "x" and "x + 0*y" encode identically — they
 // index identically too.
 func (e IndexExpr) AppendCanonical(dst []byte) []byte {
 	if e.Irregular {
 		return append(dst, "?|"...)
 	}
 	dst = strconv.AppendInt(dst, e.Const, 10)
-	var buf [4]string
-	for _, v := range e.AppendVars(buf[:0]) {
+	for _, t := range e.Terms {
 		dst = append(dst, '+')
-		dst = strconv.AppendInt(dst, e.Coeffs[v], 10)
+		dst = strconv.AppendInt(dst, t.Coeff, 10)
 		dst = append(dst, '*')
-		dst = append(dst, v...)
+		dst = append(dst, t.Var...)
 	}
 	return append(dst, '|')
 }

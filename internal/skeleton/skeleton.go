@@ -28,7 +28,11 @@ package skeleton
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"strings"
+
+	"grophecy/internal/errdefs"
 )
 
 // ElemType enumerates the element types that appear in the paper's
@@ -122,9 +126,14 @@ func (a *Array) Validate() error {
 	if len(a.Dims) == 0 {
 		return fmt.Errorf("skeleton: array %q has no dimensions", a.Name)
 	}
+	bytes := a.Elem.Size()
 	for i, d := range a.Dims {
 		if d <= 0 {
 			return fmt.Errorf("skeleton: array %q dim %d has non-positive extent %d", a.Name, i, d)
+		}
+		var ok bool
+		if bytes, ok = mul64(bytes, d); !ok {
+			return errdefs.Invalidf("skeleton: array %q footprint overflows int64 bytes", a.Name)
 		}
 	}
 	return nil
@@ -167,30 +176,39 @@ func (a *Array) String() string {
 	return b.String()
 }
 
+// Term is one variable term of an affine index expression: Coeff·Var.
+type Term struct {
+	Var   string
+	Coeff int64
+}
+
 // IndexExpr is an affine index expression over the loop variables of
-// the enclosing nest: index = Const + sum(Coeffs[v] * v).
+// the enclosing nest: index = Const + Σ t.Coeff·t.Var over Terms.
+//
+// Terms are in normal form: sorted by variable, each variable at most
+// once, no zero coefficient. The constructors below and AddTerm keep
+// that form, and Kernel.Validate rejects any other shape, so equal
+// expressions have equal Terms.
 //
 // Irregular marks an index whose value is data-dependent (indirect
 // addressing); such accesses have no bounded regular section.
 type IndexExpr struct {
-	Coeffs    map[string]int64
+	Terms     []Term
 	Const     int64
 	Irregular bool
 }
 
 // Idx returns the expression "v" — coefficient 1 on loop variable v.
-func Idx(v string) IndexExpr {
-	return IndexExpr{Coeffs: map[string]int64{v: 1}}
-}
+func Idx(v string) IndexExpr { return IdxPlus(v, 0) }
 
 // IdxPlus returns "v + c".
 func IdxPlus(v string, c int64) IndexExpr {
-	return IndexExpr{Coeffs: map[string]int64{v: 1}, Const: c}
+	return IndexExpr{Terms: []Term{{Var: v, Coeff: 1}}, Const: c}
 }
 
 // IdxScaled returns "a*v + c".
 func IdxScaled(v string, a, c int64) IndexExpr {
-	return IndexExpr{Coeffs: map[string]int64{v: a}, Const: c}
+	return IndexExpr{Terms: AddTerm(nil, v, a), Const: c}
 }
 
 // IdxConst returns the constant expression "c".
@@ -199,40 +217,78 @@ func IdxConst(c int64) IndexExpr { return IndexExpr{Const: c} }
 // IdxSum returns "a1*v1 + a2*v2 + c" for a two-variable affine index
 // (e.g. row*width + col flattened indexing).
 func IdxSum(v1 string, a1 int64, v2 string, a2, c int64) IndexExpr {
-	return IndexExpr{Coeffs: map[string]int64{v1: a1, v2: a2}, Const: c}
+	ts := AddTerm(AddTerm(make([]Term, 0, 2), v1, a1), v2, a2)
+	if len(ts) == 0 {
+		ts = nil
+	}
+	return IndexExpr{Terms: ts, Const: c}
 }
 
 // IdxIrregular returns an irregular (data-dependent) index.
 func IdxIrregular() IndexExpr { return IndexExpr{Irregular: true} }
 
+// AddTerm adds c·v to ts, a term list in normal form, and returns the
+// list in normal form: c accumulates into v's term, a term that
+// cancels to zero is removed, and a new variable is inserted in sorted
+// position. Coefficients accumulate in int64 arithmetic, as += does;
+// Kernel.Validate bounds the index arithmetic that results. Like
+// append, AddTerm may write into ts's backing array.
+func AddTerm(ts []Term, v string, c int64) []Term {
+	if c == 0 {
+		return ts
+	}
+	i := 0
+	for i < len(ts) && ts[i].Var < v {
+		i++
+	}
+	if i < len(ts) && ts[i].Var == v {
+		if ts[i].Coeff += c; ts[i].Coeff == 0 {
+			return append(ts[:i], ts[i+1:]...)
+		}
+		return ts
+	}
+	ts = append(ts, Term{})
+	copy(ts[i+1:], ts[i:])
+	ts[i] = Term{Var: v, Coeff: c}
+	return ts
+}
+
+// normal reports whether the terms are in normal form.
+func (e IndexExpr) normal() bool {
+	for i, t := range e.Terms {
+		if t.Coeff == 0 || (i > 0 && e.Terms[i-1].Var >= t.Var) {
+			return false
+		}
+	}
+	return true
+}
+
 // Uses reports whether the expression references loop variable v with
 // a nonzero coefficient.
-func (e IndexExpr) Uses(v string) bool { return e.Coeffs[v] != 0 }
+func (e IndexExpr) Uses(v string) bool { return e.Coeff(v) != 0 }
 
 // Coeff returns the coefficient of loop variable v (0 if absent).
-func (e IndexExpr) Coeff(v string) int64 { return e.Coeffs[v] }
+func (e IndexExpr) Coeff(v string) int64 {
+	for _, t := range e.Terms {
+		if t.Var == v {
+			return t.Coeff
+		}
+	}
+	return 0
+}
 
 // Vars returns the referenced loop variables in sorted order.
 func (e IndexExpr) Vars() []string {
-	return e.AppendVars(make([]string, 0, len(e.Coeffs)))
+	return e.AppendVars(make([]string, 0, len(e.Terms)))
 }
 
-// AppendVars appends the referenced loop variables (those with a
-// nonzero coefficient) to dst in sorted order and returns the
-// extended slice. With a caller-owned buffer of enough capacity it
-// allocates nothing, which is why hot paths use it over Vars.
+// AppendVars appends the referenced loop variables to dst in sorted
+// order and returns the extended slice. With a caller-owned buffer of
+// enough capacity it allocates nothing, which is why hot paths use it
+// over Vars.
 func (e IndexExpr) AppendVars(dst []string) []string {
-	n := len(dst)
-	for v, c := range e.Coeffs {
-		if c == 0 {
-			continue
-		}
-		// Insertion sort: an index references a handful of
-		// variables at most.
-		dst = append(dst, v)
-		for i := len(dst) - 1; i > n && dst[i] < dst[i-1]; i-- {
-			dst[i], dst[i-1] = dst[i-1], dst[i]
-		}
+	for _, t := range e.Terms {
+		dst = append(dst, t.Var)
 	}
 	return dst
 }
@@ -243,15 +299,14 @@ func (e IndexExpr) String() string {
 		return "?"
 	}
 	var parts []string
-	for _, v := range e.Vars() {
-		c := e.Coeffs[v]
-		switch c {
+	for _, t := range e.Terms {
+		switch t.Coeff {
 		case 1:
-			parts = append(parts, v)
+			parts = append(parts, t.Var)
 		case -1:
-			parts = append(parts, "-"+v)
+			parts = append(parts, "-"+t.Var)
 		default:
-			parts = append(parts, fmt.Sprintf("%d*%s", c, v))
+			parts = append(parts, fmt.Sprintf("%d*%s", t.Coeff, t.Var))
 		}
 	}
 	if e.Const != 0 || len(parts) == 0 {
@@ -419,12 +474,14 @@ func SeqLoop(v string, n int64) Loop {
 	return Loop{Var: v, Lower: 0, Upper: n, Step: 1}
 }
 
-// Trips returns the iteration count of the loop.
+// Trips returns the iteration count of the loop. It is computed as
+// (span-1)/Step + 1 so that it cannot overflow for any loop that
+// validates.
 func (l Loop) Trips() int64 {
 	if l.Step <= 0 || l.Upper <= l.Lower {
 		return 0
 	}
-	return (l.Upper - l.Lower + l.Step - 1) / l.Step
+	return (l.Upper-l.Lower-1)/l.Step + 1
 }
 
 // Validate checks the loop shape.
@@ -437,6 +494,9 @@ func (l Loop) Validate() error {
 	}
 	if l.Upper < l.Lower {
 		return fmt.Errorf("skeleton: loop %q has upper %d below lower %d", l.Var, l.Upper, l.Lower)
+	}
+	if _, ok := sub64(l.Upper, l.Lower); !ok {
+		return errdefs.Invalidf("skeleton: loop %q range %d..%d overflows int64", l.Var, l.Lower, l.Upper)
 	}
 	return nil
 }
@@ -495,8 +555,16 @@ func (k *Kernel) Validate() error {
 		depth := k.effectiveDepth(s)
 		for _, ac := range s.Accesses {
 			for _, e := range ac.Index {
+				if !e.normal() {
+					return errdefs.Invalidf("skeleton: kernel %q access %s has index terms that are unsorted, repeated or zero",
+						k.Name, ac.String())
+				}
 				if !k.indexInScope(e, depth) {
 					return k.indexScopeError(ac, e, depth)
+				}
+				if !k.boundsFit(e) {
+					return errdefs.Invalidf("skeleton: kernel %q access %s has index bounds that overflow int64",
+						k.Name, ac.String())
 				}
 			}
 		}
@@ -518,11 +586,43 @@ func (k *Kernel) loopIndex(v string) int {
 // indexInScope reports whether every variable e references is the
 // index of one of the loops enclosing a statement at depth.
 func (k *Kernel) indexInScope(e IndexExpr, depth int) bool {
-	for v, c := range e.Coeffs {
-		if c == 0 {
-			continue
+	for _, t := range e.Terms {
+		if i := k.loopIndex(t.Var); i < 0 || i >= depth {
+			return false
 		}
-		if i := k.loopIndex(v); i < 0 || i >= depth {
+	}
+	return true
+}
+
+// boundsFit reports whether the bounded regular section of an in-scope
+// index fits in int64: Const plus, per term, the smaller and the
+// larger of Coeff·first and Coeff·last over the term's loop, and each
+// term's stride |Coeff|·Step. An index over an empty loop is never
+// evaluated (brs.FromAccess gives it an empty section) and fits.
+func (k *Kernel) boundsFit(e IndexExpr) bool {
+	if e.Irregular {
+		return true
+	}
+	lo, hi := e.Const, e.Const
+	for _, t := range e.Terms {
+		l := k.Loops[k.loopIndex(t.Var)]
+		n := l.Trips()
+		if n == 0 {
+			return true
+		}
+		a, okA := mul64(t.Coeff, l.Lower)
+		b, okB := mul64(t.Coeff, l.Lower+(n-1)*l.Step)
+		_, okS := mul64(t.Coeff, l.Step)
+		if !okA || !okB || !okS || t.Coeff == math.MinInt64 {
+			return false
+		}
+		if a > b {
+			a, b = b, a
+		}
+		var okLo, okHi bool
+		lo, okLo = add64(lo, a)
+		hi, okHi = add64(hi, b)
+		if !okLo || !okHi {
 			return false
 		}
 	}
@@ -544,6 +644,35 @@ func (k *Kernel) indexScopeError(ac Access, e IndexExpr, depth int) error {
 		}
 	}
 	panic("skeleton: indexScopeError called on an in-scope index")
+}
+
+// add64 returns a+b and whether the sum fits in int64.
+func add64(a, b int64) (int64, bool) {
+	s := a + b
+	return s, (a >= 0) != (b >= 0) || (s >= 0) == (a >= 0)
+}
+
+// sub64 returns a-b and whether the difference fits in int64.
+func sub64(a, b int64) (int64, bool) {
+	d := a - b
+	return d, (a >= 0) == (b >= 0) || (d >= 0) == (a >= 0)
+}
+
+// mul64 returns a·b and whether the product fits in int64.
+func mul64(a, b int64) (int64, bool) {
+	hi, lo := bits.Mul64(absU64(a), absU64(b))
+	if (a < 0) != (b < 0) {
+		return -int64(lo), hi == 0 && lo <= 1<<63
+	}
+	return int64(lo), hi == 0 && lo <= math.MaxInt64
+}
+
+// absU64 returns |x| as an unsigned value; |math.MinInt64| fits.
+func absU64(x int64) uint64 {
+	if x < 0 {
+		return -uint64(x)
+	}
+	return uint64(x)
 }
 
 // effectiveDepth resolves a statement's Depth (0 means innermost).

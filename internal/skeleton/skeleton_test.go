@@ -130,8 +130,8 @@ func TestIndexExprUsesCoeffVars(t *testing.T) {
 		t.Errorf("Vars = %v", vars)
 	}
 	// Zero coefficients are invisible.
-	z := IndexExpr{Coeffs: map[string]int64{"i": 0}}
-	if z.Uses("i") || len(z.Vars()) != 0 {
+	z := IdxScaled("i", 0, 0)
+	if z.Uses("i") || len(z.Vars()) != 0 || z.Terms != nil {
 		t.Error("zero coefficient should be invisible")
 	}
 }

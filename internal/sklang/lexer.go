@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"unicode"
 	"unicode/utf8"
+
+	"grophecy/internal/errdefs"
 )
 
 // tokenKind enumerates the lexical classes of the skeleton language.
@@ -80,7 +82,8 @@ type token struct {
 	Pos  pos
 }
 
-// Error is a positioned skeleton-language error.
+// Error is a positioned skeleton-language error. Every such error is
+// a fault of the source text, so it matches errdefs.ErrInvalidInput.
 type Error struct {
 	Pos pos
 	Msg string
@@ -88,6 +91,9 @@ type Error struct {
 
 // Error implements the error interface with a position prefix.
 func (e *Error) Error() string { return fmt.Sprintf("%s: %s", e.Pos, e.Msg) }
+
+// Unwrap classifies the error as errdefs.ErrInvalidInput.
+func (e *Error) Unwrap() error { return errdefs.ErrInvalidInput }
 
 func errorf(p pos, format string, args ...interface{}) *Error {
 	return &Error{Pos: p, Msg: fmt.Sprintf(format, args...)}

@@ -39,7 +39,7 @@ func ParseWithInfo(src string) (core.Workload, Info, error) {
 	if err != nil {
 		return core.Workload{}, Info{}, err
 	}
-	p := &parser{toks: toks}
+	p := newParser(toks)
 	w, err := p.parseFile()
 	if err != nil {
 		return core.Workload{}, Info{}, err

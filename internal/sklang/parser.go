@@ -27,6 +27,85 @@ type parser struct {
 	seq          *skeleton.Sequence
 	phases       []parsedPhase
 	cpu          *cpumodel.Workload
+
+	// The per-parse slabs the output is carved from: the free tails of
+	// index terms, access indices, array dims, statement accesses,
+	// kernel loops and kernel statements, and the arrays and kernels
+	// declared so far.
+	termFree  []skeleton.Term
+	idxFree   []skeleton.IndexExpr
+	dimFree   []int64
+	accFree   []skeleton.Access
+	loopFree  []skeleton.Loop
+	stmtFree  []skeleton.Statement
+	arraySlab []skeleton.Array
+	kernSlab  []skeleton.Kernel
+}
+
+// newParser returns a parser over toks with its output slabs presized
+// from one pass over the token stream: every '[' opens an array
+// dimension or an access index, every identifier between brackets is
+// at most one index term, and every keyword outside them — 'load' or
+// 'store', 'parfor' or 'for', 'stmt', 'array', 'kernel' — starts at
+// most one access, loop, statement, array or kernel. A parse appends
+// each owner's elements — one expression's terms, one access's
+// indices, one array's dims, one statement's accesses, one kernel's
+// loops and statements — to a slab's free tail and hands the owner a
+// capacity-capped subslice (carve), so an append by any consumer
+// reallocates instead of writing into a neighbour. A short count only
+// costs a regrowth: carved slices and handed-out pointers keep the old
+// backing array.
+func newParser(toks []token) *parser {
+	var brackets, terms, accesses, loops, stmts, arrays, kernels, depth int
+	for _, t := range toks {
+		switch t.Kind {
+		case tokLBracket:
+			brackets++
+			depth++
+		case tokRBracket:
+			if depth > 0 {
+				depth--
+			}
+		case tokIdent:
+			if depth > 0 {
+				terms++
+				continue
+			}
+			switch t.Text {
+			case "load", "store":
+				accesses++
+			case "parfor", "for":
+				loops++
+			case "stmt":
+				stmts++
+			case "array":
+				arrays++
+			case "kernel":
+				kernels++
+			}
+		}
+	}
+	return &parser{
+		toks:      toks,
+		termFree:  make([]skeleton.Term, 0, terms),
+		idxFree:   make([]skeleton.IndexExpr, 0, brackets),
+		dimFree:   make([]int64, 0, brackets),
+		accFree:   make([]skeleton.Access, 0, accesses),
+		loopFree:  make([]skeleton.Loop, 0, loops),
+		stmtFree:  make([]skeleton.Statement, 0, stmts),
+		arraySlab: make([]skeleton.Array, 0, arrays),
+		kernSlab:  make([]skeleton.Kernel, 0, kernels),
+	}
+}
+
+// carve splits s, an owner's elements appended to a slab's free tail,
+// into the owner's part — capped at its length, nil when empty — and
+// the free tail that remains.
+func carve[T any](s []T) (owned, free []T) {
+	if len(s) == 0 {
+		return nil, s
+	}
+	return s[:len(s):len(s)], s[len(s):]
 }
 
 func (p *parser) cur() token { return p.toks[p.off] }
@@ -135,7 +214,7 @@ modifiersDone:
 	if _, dup := p.arrays[nameTok.Text]; dup {
 		return errorf(nameTok.Pos, "array %q already declared", nameTok.Text)
 	}
-	var dims []int64
+	dims := p.dimFree
 	for p.cur().Kind == tokLBracket {
 		p.advance()
 		d, err := p.parseInt()
@@ -147,6 +226,7 @@ modifiersDone:
 		}
 		dims = append(dims, d)
 	}
+	dims, p.dimFree = carve(dims)
 	if len(dims) == 0 {
 		return errorf(p.cur().Pos, "array %q needs at least one dimension", nameTok.Text)
 	}
@@ -158,10 +238,11 @@ modifiersDone:
 	if !ok {
 		return errorf(elemTok.Pos, "unknown element type %q", elemTok.Text)
 	}
-	arr := &skeleton.Array{
+	p.arraySlab = append(p.arraySlab, skeleton.Array{
 		Name: nameTok.Text, Dims: dims, Elem: elem,
 		Sparse: sparse, Temporary: temporary,
-	}
+	})
+	arr := &p.arraySlab[len(p.arraySlab)-1]
 	if err := arr.Validate(); err != nil {
 		return errorf(nameTok.Pos, "%v", err)
 	}
@@ -194,11 +275,13 @@ func (p *parser) parseKernel() error {
 	if _, err := p.expect(tokLBrace); err != nil {
 		return err
 	}
-	k := &skeleton.Kernel{Name: nameTok.Text}
-	loopVars := make(map[string]bool)
-	if err := p.parseLoopBody(k, loopVars, 0); err != nil {
+	p.kernSlab = append(p.kernSlab, skeleton.Kernel{Name: nameTok.Text, Loops: p.loopFree, Stmts: p.stmtFree})
+	k := &p.kernSlab[len(p.kernSlab)-1]
+	if err := p.parseLoopBody(k, 0); err != nil {
 		return err
 	}
+	k.Loops, p.loopFree = carve(k.Loops)
+	k.Stmts, p.stmtFree = carve(k.Stmts)
 	if _, err := p.expect(tokRBrace); err != nil {
 		return err
 	}
@@ -212,7 +295,7 @@ func (p *parser) parseKernel() error {
 
 // parseLoopBody parses the body of a loop (or kernel top level):
 // statements and at most one nested loop, at the given nesting depth.
-func (p *parser) parseLoopBody(k *skeleton.Kernel, loopVars map[string]bool, depth int) error {
+func (p *parser) parseLoopBody(k *skeleton.Kernel, depth int) error {
 	sawLoop := false
 	for {
 		switch {
@@ -222,14 +305,14 @@ func (p *parser) parseLoopBody(k *skeleton.Kernel, loopVars map[string]bool, dep
 					"a loop body may contain at most one nested loop (single loop nest per kernel)")
 			}
 			sawLoop = true
-			if err := p.parseLoop(k, loopVars, depth); err != nil {
+			if err := p.parseLoop(k, depth); err != nil {
 				return err
 			}
 		case p.atKeyword("stmt"):
 			if depth == 0 {
 				return errorf(p.cur().Pos, "statements must appear inside a loop")
 			}
-			if err := p.parseStmt(k, loopVars, depth); err != nil {
+			if err := p.parseStmt(k, depth); err != nil {
 				return err
 			}
 		case p.cur().Kind == tokRBrace:
@@ -242,14 +325,14 @@ func (p *parser) parseLoopBody(k *skeleton.Kernel, loopVars map[string]bool, dep
 }
 
 // (parfor|for) v in lo..hi [step s] { body }
-func (p *parser) parseLoop(k *skeleton.Kernel, loopVars map[string]bool, depth int) error {
+func (p *parser) parseLoop(k *skeleton.Kernel, depth int) error {
 	parallel := p.cur().Text == "parfor"
 	loopTok := p.advance()
 	varTok, err := p.expect(tokIdent)
 	if err != nil {
 		return err
 	}
-	if loopVars[varTok.Text] {
+	if inScope(k.Loops, varTok.Text) {
 		return errorf(varTok.Pos, "loop variable %q already in scope", varTok.Text)
 	}
 	if _, err := p.expectKeyword("in"); err != nil {
@@ -279,12 +362,11 @@ func (p *parser) parseLoop(k *skeleton.Kernel, loopVars map[string]bool, depth i
 		return errorf(loopTok.Pos, "%v", err)
 	}
 	k.Loops = append(k.Loops, loop)
-	loopVars[varTok.Text] = true
 
 	if _, err := p.expect(tokLBrace); err != nil {
 		return err
 	}
-	if err := p.parseLoopBody(k, loopVars, depth+1); err != nil {
+	if err := p.parseLoopBody(k, depth+1); err != nil {
 		return err
 	}
 	_, err = p.expect(tokRBrace)
@@ -292,7 +374,7 @@ func (p *parser) parseLoop(k *skeleton.Kernel, loopVars map[string]bool, depth i
 }
 
 // stmt [flops=N] [intops=N] [transc=N] { accesses }
-func (p *parser) parseStmt(k *skeleton.Kernel, loopVars map[string]bool, depth int) error {
+func (p *parser) parseStmt(k *skeleton.Kernel, depth int) error {
 	stmtTok := p.advance() // 'stmt'
 	st := skeleton.Statement{Depth: depth}
 	for p.cur().Kind == tokIdent && p.toks[p.off+1].Kind == tokAssign {
@@ -316,14 +398,16 @@ func (p *parser) parseStmt(k *skeleton.Kernel, loopVars map[string]bool, depth i
 	if _, err := p.expect(tokLBrace); err != nil {
 		return err
 	}
+	accs := p.accFree
 	for p.cur().Kind != tokRBrace {
-		ac, err := p.parseAccess(loopVars)
+		ac, err := p.parseAccess(k.Loops)
 		if err != nil {
 			return err
 		}
-		st.Accesses = append(st.Accesses, ac)
+		accs = append(accs, ac)
 	}
 	p.advance() // '}'
+	st.Accesses, p.accFree = carve(accs)
 	if len(st.Accesses) == 0 && st.Flops == 0 && st.IntOps == 0 && st.Transcendentals == 0 {
 		return errorf(stmtTok.Pos, "empty statement")
 	}
@@ -332,7 +416,7 @@ func (p *parser) parseStmt(k *skeleton.Kernel, loopVars map[string]bool, depth i
 }
 
 // (load|store) array[idx][idx]...
-func (p *parser) parseAccess(loopVars map[string]bool) (skeleton.Access, error) {
+func (p *parser) parseAccess(scope []skeleton.Loop) (skeleton.Access, error) {
 	t := p.cur()
 	if !p.atKeyword("load") && !p.atKeyword("store") {
 		return skeleton.Access{}, errorf(t.Pos, "expected 'load' or 'store', found %q", t.Text)
@@ -350,10 +434,10 @@ func (p *parser) parseAccess(loopVars map[string]bool) (skeleton.Access, error) 
 	if !ok {
 		return skeleton.Access{}, errorf(nameTok.Pos, "undeclared array %q", nameTok.Text)
 	}
-	var idx []skeleton.IndexExpr
+	idx := p.idxFree
 	for p.cur().Kind == tokLBracket {
 		p.advance()
-		e, err := p.parseIndexExpr(loopVars)
+		e, err := p.parseIndexExpr(scope)
 		if err != nil {
 			return skeleton.Access{}, err
 		}
@@ -362,6 +446,7 @@ func (p *parser) parseAccess(loopVars map[string]bool) (skeleton.Access, error) 
 		}
 		idx = append(idx, e)
 	}
+	idx, p.idxFree = carve(idx)
 	if len(idx) != len(arr.Dims) {
 		return skeleton.Access{}, errorf(nameTok.Pos,
 			"array %q has %d dimensions, access has %d indices", arr.Name, len(arr.Dims), len(idx))
@@ -371,19 +456,19 @@ func (p *parser) parseAccess(loopVars map[string]bool) (skeleton.Access, error) 
 
 // index := '?' | term (('+'|'-') term)*
 // term  := INT ['*' IDENT] | IDENT
-func (p *parser) parseIndexExpr(loopVars map[string]bool) (skeleton.IndexExpr, error) {
+func (p *parser) parseIndexExpr(scope []skeleton.Loop) (skeleton.IndexExpr, error) {
 	if p.cur().Kind == tokQuestion {
 		p.advance()
 		return skeleton.IdxIrregular(), nil
 	}
-	expr := skeleton.IndexExpr{Coeffs: make(map[string]int64)}
+	expr := skeleton.IndexExpr{Terms: p.termFree}
 	sign := int64(1)
 	if p.cur().Kind == tokMinus {
 		p.advance()
 		sign = -1
 	}
 	for {
-		if err := p.parseIndexTerm(&expr, sign, loopVars); err != nil {
+		if err := p.parseIndexTerm(&expr, sign, scope); err != nil {
 			return skeleton.IndexExpr{}, err
 		}
 		switch p.cur().Kind {
@@ -394,12 +479,13 @@ func (p *parser) parseIndexExpr(loopVars map[string]bool) (skeleton.IndexExpr, e
 			p.advance()
 			sign = -1
 		default:
+			expr.Terms, p.termFree = carve(expr.Terms)
 			return expr, nil
 		}
 	}
 }
 
-func (p *parser) parseIndexTerm(expr *skeleton.IndexExpr, sign int64, loopVars map[string]bool) error {
+func (p *parser) parseIndexTerm(expr *skeleton.IndexExpr, sign int64, scope []skeleton.Loop) error {
 	t := p.cur()
 	switch t.Kind {
 	case tokInt:
@@ -413,24 +499,35 @@ func (p *parser) parseIndexTerm(expr *skeleton.IndexExpr, sign int64, loopVars m
 			if err != nil {
 				return err
 			}
-			if !loopVars[varTok.Text] {
+			if !inScope(scope, varTok.Text) {
 				return errorf(varTok.Pos, "unknown loop variable %q", varTok.Text)
 			}
-			expr.Coeffs[varTok.Text] += sign * v
+			expr.Terms = skeleton.AddTerm(expr.Terms, varTok.Text, sign*v)
 			return nil
 		}
 		expr.Const += sign * v
 		return nil
 	case tokIdent:
-		if !loopVars[t.Text] {
+		if !inScope(scope, t.Text) {
 			return errorf(t.Pos, "unknown loop variable %q", t.Text)
 		}
 		p.advance()
-		expr.Coeffs[t.Text] += sign
+		expr.Terms = skeleton.AddTerm(expr.Terms, t.Text, sign)
 		return nil
 	default:
 		return errorf(t.Pos, "expected an index term, found %v", t.Kind)
 	}
+}
+
+// inScope reports whether one of the kernel's loops parsed so far
+// declares v.
+func inScope(scope []skeleton.Loop, v string) bool {
+	for _, l := range scope {
+		if l.Var == v {
+			return true
+		}
+	}
+	return false
 }
 
 // sequence [iterations=N] { kernelName ... }
@@ -455,7 +552,8 @@ func (p *parser) parseSequence() error {
 	if _, err := p.expect(tokLBrace); err != nil {
 		return err
 	}
-	var kernels []*skeleton.Kernel
+	// A valid sequence names each declared kernel at most once.
+	kernels := make([]*skeleton.Kernel, 0, len(p.kernels))
 	for p.cur().Kind != tokRBrace {
 		nameTok, err := p.expect(tokIdent)
 		if err != nil {

@@ -183,7 +183,7 @@ func ParseProgram(src string) (ProgramWorkload, error) {
 	if err != nil {
 		return ProgramWorkload{}, err
 	}
-	p := &parser{toks: toks}
+	p := newParser(toks)
 	if err := p.parseDecls(); err != nil {
 		return ProgramWorkload{}, err
 	}
@@ -283,8 +283,10 @@ func FormatProgram(pw ProgramWorkload) (string, error) {
 
 // parseDecls is the shared declaration loop of Parse and ParseProgram.
 func (p *parser) parseDecls() error {
-	p.arrays = make(map[string]*skeleton.Array)
-	p.kernels = make(map[string]*skeleton.Kernel)
+	p.arrays = make(map[string]*skeleton.Array, cap(p.arraySlab))
+	p.arrayOrder = make([]string, 0, cap(p.arraySlab))
+	p.kernels = make(map[string]*skeleton.Kernel, cap(p.kernSlab))
+	p.kernelOrder = make([]string, 0, cap(p.kernSlab))
 	for p.cur().Kind != tokEOF {
 		t := p.cur()
 		if t.Kind != tokIdent {

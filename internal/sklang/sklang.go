@@ -75,7 +75,7 @@ func Parse(src string) (core.Workload, error) {
 		mParseErrors.Inc()
 		return core.Workload{}, err
 	}
-	p := &parser{toks: toks}
+	p := newParser(toks)
 	w, err := p.parseFile()
 	if err != nil {
 		mParseErrors.Inc()

@@ -147,11 +147,9 @@ func formatIndex(e skeleton.IndexExpr) (string, error) {
 	if e.Irregular {
 		return "?", nil
 	}
-	vars := e.Vars()
-	sort.Strings(vars)
 	var parts []string
-	for _, v := range vars {
-		c := e.Coeff(v)
+	for _, t := range e.Terms {
+		v, c := t.Var, t.Coeff
 		switch {
 		case c == 1:
 			parts = append(parts, "+"+v)

@@ -7,7 +7,7 @@
 // skeletons per request, so pointer identity never carries across
 // requests, but content identity does. The cache keys entries by the
 // kernel's canonical content encoding (skeleton.Kernel.AppendCanonical)
-// plus the full architecture value, and stores both the enumerated
+// plus every field of the architecture, and stores both the enumerated
 // variant set and, lazily, the analytically best variant — so a warm
 // request skips the enumeration *and* the per-candidate projection.
 //
@@ -22,7 +22,8 @@
 package transform
 
 import (
-	"fmt"
+	"math"
+	"strconv"
 	"sync"
 
 	"grophecy/internal/gpu"
@@ -75,13 +76,38 @@ var enumCache = &cache{enabled: true, entries: make(map[string]*entry)}
 var keyBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }}
 
 // cacheKey renders the full (kernel content, architecture) key into
-// buf. The architecture is rendered with %#v so any future Arch field
-// automatically becomes part of the key instead of silently aliasing
-// entries.
+// buf.
 func cacheKey(buf []byte, k *skeleton.Kernel, arch gpu.Arch) []byte {
 	buf = k.AppendCanonical(buf)
 	buf = append(buf, '@')
-	return fmt.Appendf(buf, "%#v", arch)
+	return appendArch(buf, arch)
+}
+
+// appendArch renders every field of the architecture without
+// reflection: integers in decimal and floats as their IEEE-754 bits,
+// each closed by ',', then the length-prefixed name. A field missing
+// here would let two architectures alias one entry, so
+// TestCacheKeyCoversEveryArchField perturbs each gpu.Arch field by
+// reflection and fails until a new field is rendered.
+func appendArch(buf []byte, a gpu.Arch) []byte {
+	for _, n := range [...]int64{
+		int64(a.SMs), int64(a.WarpSize),
+		int64(a.MaxThreadsPerSM), int64(a.MaxBlocksPerSM), int64(a.MaxThreadsPerBlock),
+		int64(a.RegistersPerSM), a.SharedMemPerSM, a.CoalesceSegment,
+	} {
+		buf = strconv.AppendInt(buf, n, 10)
+		buf = append(buf, ',')
+	}
+	for _, f := range [...]float64{
+		a.CoreClock, a.IssueCyclesPerWarpInst, a.MemLatency, a.MemBandwidth,
+		a.TransactionCycles, a.LaunchOverhead, a.DRAMEfficiency, a.IrregularPenalty,
+	} {
+		buf = strconv.AppendUint(buf, math.Float64bits(f), 16)
+		buf = append(buf, ',')
+	}
+	buf = strconv.AppendInt(buf, int64(len(a.Name)), 10)
+	buf = append(buf, ':')
+	return append(buf, a.Name...)
 }
 
 // lookup returns the entry for key, or nil.

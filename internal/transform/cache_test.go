@@ -2,6 +2,7 @@ package transform
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -209,5 +210,47 @@ func TestCacheEviction(t *testing.T) {
 	}
 	if st := Stats(); st.Entries > maxCacheEntries {
 		t.Fatalf("cache grew to %d entries, bound is %d", st.Entries, maxCacheEntries)
+	}
+}
+
+// TestCacheKeyCoversEveryArchField walks gpu.Arch by reflection,
+// perturbs each field in turn, and asserts the memo key changes: an
+// architecture field the key leaves out would let two architectures
+// share one cached enumeration.
+func TestCacheKeyCoversEveryArchField(t *testing.T) {
+	k := randomKernel(rand.New(rand.NewSource(1)), 0)
+	base := gpu.QuadroFX5600()
+	baseKey := string(cacheKey(nil, k, base))
+	if again := string(cacheKey(nil, k, base)); again != baseKey {
+		t.Fatalf("cache key is not deterministic:\n%s\n%s", baseKey, again)
+	}
+	typ := reflect.TypeOf(base)
+	for i := 0; i < typ.NumField(); i++ {
+		arch := base
+		f := reflect.ValueOf(&arch).Elem().Field(i)
+		switch f.Kind() {
+		case reflect.String:
+			f.SetString(f.String() + "x")
+		case reflect.Int, reflect.Int64:
+			f.SetInt(f.Int() + 1)
+		case reflect.Float64:
+			f.SetFloat(math.Nextafter(f.Float(), math.Inf(1)))
+		default:
+			t.Fatalf("gpu.Arch.%s has kind %v: teach appendArch and this test to render it", typ.Field(i).Name, f.Kind())
+		}
+		if got := string(cacheKey(nil, k, arch)); got == baseKey {
+			t.Errorf("perturbing gpu.Arch.%s leaves the cache key unchanged", typ.Field(i).Name)
+		}
+	}
+}
+
+// The memo key is built for every kernel of every request: into a
+// presized buffer it allocates nothing.
+func TestCacheKeyAllocBudget(t *testing.T) {
+	k := randomKernel(rand.New(rand.NewSource(1)), 0)
+	arch := gpu.QuadroFX5600()
+	buf := make([]byte, 0, 4096)
+	if got := testing.AllocsPerRun(100, func() { buf = cacheKey(buf[:0], k, arch) }); got != 0 {
+		t.Errorf("cacheKey allocates %.0f per call, budget is 0", got)
 	}
 }

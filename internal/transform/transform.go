@@ -278,13 +278,12 @@ func analyzeKernel(k *skeleton.Kernel, arch gpu.Arch) *analysis {
 // constant or (block var + const) with coefficient 1.
 func isStencilAccess(ac skeleton.Access, xVar, yVar string) bool {
 	for _, e := range ac.Index {
-		vars := e.Vars()
-		switch len(vars) {
+		switch len(e.Terms) {
 		case 0:
 			continue
 		case 1:
-			v := vars[0]
-			if (v != xVar && v != yVar) || e.Coeff(v) != 1 {
+			t := e.Terms[0]
+			if (t.Var != xVar && t.Var != yVar) || t.Coeff != 1 {
 				return false
 			}
 		default:
