@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"strconv"
+	"sync"
 
 	"grophecy/internal/gpu"
 	"grophecy/internal/gpusim"
@@ -56,12 +58,12 @@ type fittedFit struct {
 	Bus xfermodel.BusModel `json:"bus"`
 }
 
-// microbenchSuite synthesizes the fitting workloads: a grid over
+// microbenchKernels is the fitting workload suite: a grid over
 // problem size, block size, and instruction mix, all launchable on
 // every supported architecture generation. The suite is fixed — the
 // same characteristics on the same seed give the same fit, which is
 // what makes fitted calibrations snapshot-safe.
-func microbenchSuite() []perfmodel.Characteristics {
+var microbenchKernels = func() []perfmodel.Characteristics {
 	type mix struct {
 		name          string
 		comp          float64
@@ -83,7 +85,7 @@ func microbenchSuite() []perfmodel.Characteristics {
 		for _, n := range threads {
 			for _, bs := range blockSizes {
 				suite = append(suite, perfmodel.Characteristics{
-					Name:                   fmt.Sprintf("microbench:%s/n%d/bs%d", m.name, n, bs),
+					Name:                   "microbench:" + m.name + "/n" + strconv.FormatInt(n, 10) + "/bs" + strconv.Itoa(bs),
 					Threads:                n,
 					BlockSize:              bs,
 					CompInstsPerThread:     m.comp,
@@ -98,6 +100,64 @@ func microbenchSuite() []perfmodel.Characteristics {
 		}
 	}
 	return suite
+}()
+
+// archSuite is the suite's noiseless half on one architecture, which
+// every calibration for it would recompute identically: each kernel's
+// noiseless simulated and analytical times, and the feature rows of
+// the kernels with a positive analytical time (shared, read-only).
+type archSuite struct {
+	once           sync.Once
+	base, analytic []float64
+	rows           [][]float64
+	err            error
+}
+
+// archSuites holds the suite of every architecture a fitted
+// calibration ran on, and is never evicted. The daemon and the CLIs
+// calibrate only on registered targets, so it holds at most one entry
+// per built-in GPU preset; a library caller adds one per distinct
+// architecture it calibrates on.
+var archSuites = struct {
+	sync.Mutex
+	byArch map[gpu.Arch]*archSuite
+}{byArch: make(map[gpu.Arch]*archSuite)}
+
+// suiteOn returns arch's suite, built by the first calibration on it.
+func suiteOn(arch gpu.Arch) *archSuite {
+	archSuites.Lock()
+	s := archSuites.byArch[arch]
+	if s == nil {
+		s = &archSuite{}
+		if arch == arch { // a NaN field would add an entry per call
+			archSuites.byArch[arch] = s
+		}
+	}
+	archSuites.Unlock()
+	s.once.Do(func() { s.build(arch) })
+	return s
+}
+
+// build projects and simulates every suite kernel on arch, without
+// noise.
+func (s *archSuite) build(arch gpu.Arch) {
+	sim := gpusim.New(arch, gpusim.Config{})
+	for _, ch := range microbenchKernels {
+		proj, err := perfmodel.Project(arch, ch)
+		if err != nil {
+			s.err = fmt.Errorf("backend: microbenchmark %s projection: %w", ch.Name, err)
+			return
+		}
+		base, err := sim.BaseTime(ch)
+		if err != nil {
+			s.err = fmt.Errorf("backend: microbenchmark %s measurement: %w", ch.Name, err)
+			return
+		}
+		s.base, s.analytic = append(s.base, base), append(s.analytic, proj.Time)
+		if proj.Time > 0 {
+			s.rows = append(s.rows, kernelFeatureRow(ch))
+		}
+	}
 }
 
 // kernelFeatureRow builds the regression features for one kernel: a
@@ -142,34 +202,31 @@ func (fittedBackend) Calibrate(ctx context.Context, comp Components, cfg xfermod
 		return Instance{}, Fit{}, err
 	}
 
+	suite := suiteOn(comp.Arch)
+	if suite.err != nil {
+		return Instance{}, Fit{}, suite.err
+	}
 	// The microbenchmarks run on a scratch simulator with a private
 	// noise stream; the serving machine's GPU stream is untouched.
+	// Their noiseless times are the architecture's, so a calibration
+	// only draws each kernel's launch noise, in suite order.
 	simCfg := gpusim.DefaultConfig()
 	simCfg.Seed = comp.Seed ^ scratchSeedSalt
 	sim := gpusim.New(comp.Arch, simCfg)
-
-	suite := microbenchSuite()
-	rows := make([][]float64, 0, len(suite))
-	ys := make([]float64, 0, len(suite))
-	for _, ch := range suite {
+	ys := make([]float64, 0, len(suite.rows))
+	for i, base := range suite.base {
 		if err := ctx.Err(); err != nil {
 			return Instance{}, Fit{}, err
 		}
-		proj, err := perfmodel.Project(comp.Arch, ch)
+		measured, err := sim.LaunchMean(base, cfg.Runs)
 		if err != nil {
-			return Instance{}, Fit{}, fmt.Errorf("backend: microbenchmark %s projection: %w", ch.Name, err)
+			return Instance{}, Fit{}, fmt.Errorf("backend: microbenchmark %s measurement: %w", microbenchKernels[i].Name, err)
 		}
-		measured, err := sim.MeasureMean(ch, cfg.Runs)
-		if err != nil {
-			return Instance{}, Fit{}, fmt.Errorf("backend: microbenchmark %s measurement: %w", ch.Name, err)
+		if suite.analytic[i] > 0 {
+			ys = append(ys, measured/suite.analytic[i])
 		}
-		if proj.Time <= 0 {
-			continue
-		}
-		rows = append(rows, kernelFeatureRow(ch))
-		ys = append(ys, measured/proj.Time)
 	}
-	coef, err := stats.FitMulti(rows, ys)
+	coef, err := stats.FitMulti(suite.rows, ys)
 	if err != nil {
 		return Instance{}, Fit{}, fmt.Errorf("backend: fitting kernel coefficients: %w", err)
 	}

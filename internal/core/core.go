@@ -369,6 +369,10 @@ func NewRestoredProjector(m *Machine, backendName string, kind pcie.MemoryKind, 
 // this is the equivalent two-point summary they report alongside it.
 func (p *Projector) BusModel() xfermodel.BusModel { return p.model }
 
+// Instance returns the calibrated backend instance the projector
+// predicts with.
+func (p *Projector) Instance() backend.Instance { return p.inst }
+
 // Backend returns the name of the prediction backend this projector
 // dispatches through.
 func (p *Projector) Backend() string { return p.backendName }

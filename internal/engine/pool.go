@@ -112,8 +112,8 @@ type Entry struct {
 	Key Key `json:"key"`
 	// Model is the backend's global α/β summary, for display surfaces.
 	Model xfermodel.BusModel `json:"model"`
-	// Fit is the backend's full calibration artifact; build restores
-	// the projector from it.
+	// Fit is the backend's full calibration artifact; Warm restores
+	// the instance from it.
 	Fit backend.Fit `json:"fit"`
 	// BusState is the bus noise state right after the calibration
 	// transfers, which is what lets a warmed pool serve bit-identical
@@ -123,9 +123,10 @@ type Entry struct {
 
 // calibration is what one flight produces: the backend's fit and α/β
 // summary, the bus noise state right after the calibration transfers,
-// and the instance restored once from the fit. Instances are
-// immutable, so the flight's owner and every later hit project through
-// the same one instead of decoding the fit per request.
+// and the instance (the calibrated one on a miss, the restored one
+// after Warm). Instances are immutable, so the flight's owner and
+// every later hit project through the same one instead of decoding
+// the fit per request.
 type calibration struct {
 	model    xfermodel.BusModel
 	fit      backend.Fit
@@ -655,11 +656,13 @@ func (p *Pool) evictLocked() {
 }
 
 // calibrate runs the key's backend calibration on a throwaway machine
-// and captures the fit, the α/β summary, and the bus state it left
-// behind, and restores the instance every projection for the key uses
-// from the fit — so the owner's projection is bit-identical to a hit's,
-// and to one on a pool warmed from the persisted entry. The caller's
-// context is checked before the expensive work
+// and captures the fit, the α/β summary, the bus state it left behind,
+// and the calibrated instance every projection for the key uses. A
+// backend's Calibrate instance equals its Restore of the fit it
+// returns (encoding/json round-trips float64 exactly), so the owner's
+// projection is bit-identical to a hit's and to one on a pool warmed
+// from the persisted entry without decoding the fit just encoded. The
+// caller's context is checked before the expensive work
 // and again after it, so a cancelled request neither starts a
 // calibration it no longer wants nor caches a result it observed only
 // partially.
@@ -677,20 +680,12 @@ func (p *Pool) calibrate(ctx context.Context, key Key, tgt target.Target, seed u
 	if err := ctx.Err(); err != nil {
 		return calibration{}, err
 	}
-	b, err := backend.Get(key.Backend)
-	if err != nil {
-		return calibration{}, err
-	}
-	inst, err := b.Restore(fit)
-	if err != nil {
-		return calibration{}, err
-	}
-	return calibration{model: proj.BusModel(), fit: fit, busState: m.Bus.NoiseState(), inst: inst}, nil
+	return calibration{model: proj.BusModel(), fit: fit, busState: m.Bus.NoiseState(), inst: proj.Instance()}, nil
 }
 
 // build assembles a caller-private machine positioned exactly where a
 // fresh calibration would have left it, around the calibration's
-// restored instance.
+// instance.
 func (p *Pool) build(tgt target.Target, seed uint64, cal calibration) (*core.Projector, error) {
 	m := tgt.Machine(seed)
 	m.Bus.SetNoiseState(cal.busState)

@@ -115,12 +115,20 @@ func (s *Sim) launch(base float64) float64 {
 // once; each launch then draws its own noise factor, exactly as runs
 // calls of Run would.
 func (s *Sim) MeasureMean(ch perfmodel.Characteristics, runs int) (float64, error) {
-	if runs <= 0 {
-		return 0, fmt.Errorf("gpusim: MeasureMean needs at least one run")
-	}
 	base, err := s.BaseTime(ch)
 	if err != nil {
 		return 0, err
+	}
+	return s.LaunchMean(base, runs)
+}
+
+// LaunchMean launches a kernel whose noiseless time (BaseTime) is
+// already known runs times and returns the mean observed time: the
+// launch half of MeasureMean, drawing the same noise in the same
+// order.
+func (s *Sim) LaunchMean(base float64, runs int) (float64, error) {
+	if runs <= 0 {
+		return 0, fmt.Errorf("gpusim: a mean needs at least one run")
 	}
 	var sum float64
 	for i := 0; i < runs; i++ {

@@ -698,35 +698,15 @@ func (k *Kernel) ExecsPerThread(s Statement) int64 {
 	return n
 }
 
-// ParallelLoops returns the parallel loops of the nest.
-func (k *Kernel) ParallelLoops() []Loop {
-	var out []Loop
-	for _, l := range k.Loops {
-		if l.Parallel {
-			out = append(out, l)
-		}
-	}
-	return out
-}
-
-// SequentialLoops returns the non-parallel loops of the nest.
-func (k *Kernel) SequentialLoops() []Loop {
-	var out []Loop
-	for _, l := range k.Loops {
-		if !l.Parallel {
-			out = append(out, l)
-		}
-	}
-	return out
-}
-
 // ParallelIterations returns the product of the trip counts of the
 // parallel loops: the number of GPU threads a one-thread-per-iteration
 // mapping creates.
 func (k *Kernel) ParallelIterations() int64 {
 	n := int64(1)
-	for _, l := range k.ParallelLoops() {
-		n *= l.Trips()
+	for _, l := range k.Loops {
+		if l.Parallel {
+			n *= l.Trips()
+		}
 	}
 	return n
 }
@@ -735,8 +715,10 @@ func (k *Kernel) ParallelIterations() int64 {
 // sequential loops: work per thread under the natural mapping.
 func (k *Kernel) SequentialIterations() int64 {
 	n := int64(1)
-	for _, l := range k.SequentialLoops() {
-		n *= l.Trips()
+	for _, l := range k.Loops {
+		if !l.Parallel {
+			n *= l.Trips()
+		}
 	}
 	return n
 }

@@ -300,9 +300,6 @@ func TestKernelWithSequentialLoop(t *testing.T) {
 	if k.ParallelIterations() != 100 || k.SequentialIterations() != 8 {
 		t.Error("iteration split wrong")
 	}
-	if len(k.ParallelLoops()) != 1 || len(k.SequentialLoops()) != 1 {
-		t.Error("loop classification wrong")
-	}
 }
 
 func TestKernelValidateRejects(t *testing.T) {
@@ -413,5 +410,23 @@ func TestQuickArrayBytesIsCountTimesElem(t *testing.T) {
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestIterationCountsDoNotAllocate: the trip-count products walk the
+// loop nest in place.
+func TestIterationCountsDoNotAllocate(t *testing.T) {
+	k := &Kernel{
+		Name:  "k",
+		Loops: []Loop{ParLoop("i", 64), SeqLoop("r", 8), ParLoop("j", 32)},
+	}
+	var par, seq int64
+	if a := testing.AllocsPerRun(100, func() {
+		par, seq = k.ParallelIterations(), k.SequentialIterations()
+	}); a != 0 {
+		t.Fatalf("ParallelIterations and SequentialIterations allocate %.0f times, want 0", a)
+	}
+	if par != 64*32 || seq != 8 {
+		t.Fatalf("iterations %d parallel, %d sequential; want %d and 8", par, seq, 64*32)
 	}
 }

@@ -20,8 +20,9 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
-	"sort"
+	"slices"
+	"strconv"
+	"strings"
 
 	"grophecy/internal/gpu"
 	"grophecy/internal/metrics"
@@ -56,10 +57,31 @@ type Variant struct {
 
 // blockSizes is the candidate thread-block size ladder, all
 // half-warp-aligned and within G80-era limits.
-var blockSizes = []int{64, 128, 192, 256, 384, 512}
+var blockSizes = [...]int{64, 128, 192, 256, 384, 512}
 
 // unrollFactors are the candidate sequential-loop unroll factors.
-var unrollFactors = []int{1, 2, 4}
+var unrollFactors = [...]int{1, 2, 4}
+
+// variantNames holds every variant name, indexed by position in
+// blockSizes, staging (0 or 1) and position in unrollFactors, so
+// synthesizing a variant allocates only its characteristics' name.
+var variantNames = func() (names [len(blockSizes)][2][len(unrollFactors)]string) {
+	for bi, bs := range blockSizes {
+		for staged := range 2 {
+			for ui, unroll := range unrollFactors {
+				name := "bs" + strconv.Itoa(bs)
+				if staged == 1 {
+					name += "/tiled"
+				}
+				if unroll > 1 {
+					name += "/unroll" + strconv.Itoa(unroll)
+				}
+				names[bi][staged][ui] = name
+			}
+		}
+	}
+	return names
+}()
 
 // Enumerate explores the transformation space of one kernel on one
 // architecture and returns every launchable variant's characteristics.
@@ -88,29 +110,28 @@ func enumerate(k *skeleton.Kernel, arch gpu.Arch) ([]Variant, error) {
 	if err := arch.Validate(); err != nil {
 		return nil, err
 	}
-	par := k.ParallelLoops()
-	if len(par) == 0 {
+	if !hasParallelLoop(k) {
 		return nil, fmt.Errorf("transform: kernel %q has no parallel loops to map to threads", k.Name)
 	}
 
 	an := analyzeKernel(k, arch)
 	variants := make([]Variant, 0, 2*len(blockSizes)*len(unrollFactors))
-	for _, bs := range blockSizes {
+	for bi, bs := range blockSizes {
 		if bs > arch.MaxThreadsPerBlock {
 			continue
 		}
-		for _, unroll := range unrollFactors {
-			if unroll > 1 && k.SequentialIterations() < int64(unroll) {
+		for ui, unroll := range unrollFactors {
+			if unroll > 1 && an.seqIters < int64(unroll) {
 				continue // nothing to unroll
 			}
-			variants = append(variants, an.variant(bs, false, unroll))
+			variants = append(variants, an.variant(bi, false, ui))
 			if an.stageable() {
-				variants = append(variants, an.variant(bs, true, unroll))
+				variants = append(variants, an.variant(bi, true, ui))
 			}
 		}
 	}
 	// Deterministic order for reports.
-	sort.Slice(variants, func(i, j int) bool { return variants[i].Name < variants[j].Name })
+	slices.SortFunc(variants, func(a, b Variant) int { return strings.Compare(a.Name, b.Name) })
 	mEnumerations.Inc()
 	mVariants.Add(int64(len(variants)))
 	return variants, nil
@@ -125,6 +146,7 @@ type analysis struct {
 	threads  int64
 	seqIters int64
 	dims     int // number of parallel dims mapped to the block (1 or 2)
+	arrays   int // distinct arrays the kernel accesses
 
 	// Per innermost iteration.
 	// Per GPU thread, weighted by each statement's execution depth.
@@ -149,32 +171,34 @@ type stencilGroup struct {
 	array   *skeleton.Array
 	loadsPT float64  // per-thread loads the staging eliminates
 	radius  [2]int64 // max |offset| along the block dims
+	count   int      // stencil loads in the group
 }
 
-func analyzeKernel(k *skeleton.Kernel, arch gpu.Arch) *analysis {
-	an := &analysis{
+// hasParallelLoop reports whether any loop of the nest is parallel.
+func hasParallelLoop(k *skeleton.Kernel) bool {
+	return slices.ContainsFunc(k.Loops, func(l skeleton.Loop) bool { return l.Parallel })
+}
+
+func analyzeKernel(k *skeleton.Kernel, arch gpu.Arch) analysis {
+	an := analysis{
 		k:        k,
 		arch:     arch,
 		threads:  k.ParallelIterations(),
 		seqIters: k.SequentialIterations(),
 	}
-	par := k.ParallelLoops()
-	an.dims = 1
-	if len(par) >= 2 {
-		an.dims = 2
-	}
 	// The thread-x variable is the innermost parallel loop: it varies
-	// fastest across threads of a warp, so it decides coalescing.
-	xVar := par[len(par)-1].Var
-	yVar := ""
-	if an.dims == 2 {
-		yVar = par[len(par)-2].Var
+	// fastest across threads of a warp, so it decides coalescing; the
+	// thread-y variable is the parallel loop around it, if any.
+	var xVar, yVar string
+	for _, l := range k.Loops {
+		if l.Parallel {
+			xVar, yVar = l.Var, xVar
+			an.dims = min(an.dims+1, 2)
+		}
 	}
 
-	groupLoads := make(map[*skeleton.Array]float64)
-	groupCount := make(map[*skeleton.Array]int)
-	groupRadius := make(map[*skeleton.Array][2]int64)
-
+	var seen [16]*skeleton.Array // distinct arrays accessed
+	arrays := seen[:0]
 	halfWarp := int64(arch.WarpSize / 2)
 	for _, st := range k.Stmts {
 		execs := float64(k.ExecsPerThread(st))
@@ -183,6 +207,9 @@ func analyzeKernel(k *skeleton.Kernel, arch gpu.Arch) *analysis {
 		an.transcPT += float64(st.Transcendentals) * execs
 
 		for _, ac := range st.Accesses {
+			if !slices.Contains(arrays, ac.Array) {
+				arrays = append(arrays, ac.Array)
+			}
 			elem := ac.Array.Elem.Size()
 			if ac.Kind == skeleton.Load {
 				an.loadsPT += execs
@@ -245,33 +272,35 @@ func analyzeKernel(k *skeleton.Kernel, arch gpu.Arch) *analysis {
 			// Stencil-group detection for staging: loads whose
 			// indices are (parallel var + const) per dimension.
 			if ac.Kind == skeleton.Load && isStencilAccess(ac, xVar, yVar) {
-				groupLoads[ac.Array] += execs
-				groupCount[ac.Array]++
-				r := groupRadius[ac.Array]
+				g := an.group(ac.Array)
+				g.loadsPT += execs
+				g.count++
 				offX, offY := stencilOffsets(ac, xVar, yVar)
-				if abs := absInt64(offX); abs > r[0] {
-					r[0] = abs
-				}
-				if abs := absInt64(offY); abs > r[1] {
-					r[1] = abs
-				}
-				groupRadius[ac.Array] = r
+				g.radius[0] = max(g.radius[0], absInt64(offX))
+				g.radius[1] = max(g.radius[1], absInt64(offY))
 			}
 		}
 	}
-	for arr, count := range groupCount {
-		if count >= 2 {
-			an.groups = append(an.groups, stencilGroup{
-				array:   arr,
-				loadsPT: groupLoads[arr],
-				radius:  groupRadius[arr],
-			})
-		}
-	}
-	sort.Slice(an.groups, func(i, j int) bool {
-		return an.groups[i].array.Name < an.groups[j].array.Name
+	an.arrays = len(arrays)
+	// Only arrays loaded at two or more stencil offsets have reuse to
+	// stage; arrays sharing a name keep their first-load order.
+	an.groups = slices.DeleteFunc(an.groups, func(g stencilGroup) bool { return g.count < 2 })
+	slices.SortStableFunc(an.groups, func(a, b stencilGroup) int {
+		return strings.Compare(a.array.Name, b.array.Name)
 	})
 	return an
+}
+
+// group returns the stencil group accumulating loads of arr, opening
+// it on arr's first stencil load.
+func (an *analysis) group(arr *skeleton.Array) *stencilGroup {
+	for i := range an.groups {
+		if an.groups[i].array == arr {
+			return &an.groups[i]
+		}
+	}
+	an.groups = append(an.groups, stencilGroup{array: arr})
+	return &an.groups[len(an.groups)-1]
 }
 
 // isStencilAccess reports whether every index dimension is either a
@@ -335,16 +364,16 @@ func (an *analysis) blockShape(bs int) [2]int {
 	return [2]int{bx, bs / bx}
 }
 
-// variant synthesizes the characteristics of one transformation.
-func (an *analysis) variant(bs int, staging bool, unroll int) Variant {
+// variant synthesizes the characteristics of one transformation: the
+// bi-th block size and ui-th unroll factor, staged or not.
+func (an *analysis) variant(bi int, staging bool, ui int) Variant {
+	bs, unroll := blockSizes[bi], unrollFactors[ui]
 	shape := an.blockShape(bs)
-	name := fmt.Sprintf("bs%d", bs)
+	staged := 0
 	if staging {
-		name += "/tiled"
+		staged = 1
 	}
-	if unroll > 1 {
-		name += fmt.Sprintf("/unroll%d", unroll)
-	}
+	name := variantNames[bi][staged][ui]
 
 	// Instruction synthesis per thread: arithmetic plus one
 	// addressing op per access plus sequential-loop control amortized
@@ -402,7 +431,7 @@ func (an *analysis) variant(bs int, staging bool, unroll int) Variant {
 		irregular = (an.irregularW + 0.25*an.uniformW) / totalReqs
 	}
 
-	regs := 8 + 2*distinctArrays(an.k) + 2*(unroll-1)
+	regs := 8 + 2*an.arrays + 2*(unroll-1)
 	if staging {
 		regs += 4
 	}
@@ -430,14 +459,6 @@ func (an *analysis) variant(bs int, staging bool, unroll int) Variant {
 	}
 }
 
-func distinctArrays(k *skeleton.Kernel) int {
-	seen := make(map[*skeleton.Array]bool)
-	for _, ac := range k.Accesses() {
-		seen[ac.Array] = true
-	}
-	return len(seen)
-}
-
 func absInt64(a int64) int64 {
 	if a < 0 {
 		return -a
@@ -462,7 +483,7 @@ func Stencil(k *skeleton.Kernel, arch gpu.Arch) (StencilInfo, bool) {
 	if err := k.Validate(); err != nil {
 		return StencilInfo{}, false
 	}
-	if len(k.ParallelLoops()) == 0 {
+	if !hasParallelLoop(k) {
 		return StencilInfo{}, false
 	}
 	an := analyzeKernel(k, arch)
@@ -495,11 +516,9 @@ func Best(k *skeleton.Kernel, arch gpu.Arch) (Variant, perfmodel.Projection, err
 //
 // The winning variant's projection is memoized alongside the
 // enumeration (cache.go), so a warm call skips both the exploration
-// and the per-candidate analytical projection. Cold calls with large
-// candidate sets evaluate candidates on a bounded worker pool with a
-// deterministic index-order reduction (perfmodel.ProjectBestParallel),
-// so the winner — and therefore the report — is bit-identical to the
-// sequential path.
+// and the per-candidate analytical projection. A cold call projects the
+// candidates sequentially (perfmodel.ProjectBest): a few dozen
+// projections take microseconds, less than starting workers would.
 func BestCtx(ctx context.Context, k *skeleton.Kernel, arch gpu.Arch) (Variant, perfmodel.Projection, error) {
 	_, span := trace.Start(ctx, "transform.best", trace.String("kernel", k.Name))
 	defer span.End()
@@ -522,7 +541,7 @@ func BestCtx(ctx context.Context, k *skeleton.Kernel, arch gpu.Arch) (Variant, p
 	for i, v := range e.variants {
 		chars[i] = v.Ch
 	}
-	proj, idx, err := perfmodel.ProjectBestParallel(arch, chars, bestWorkers(len(chars)))
+	proj, idx, err := perfmodel.ProjectBest(arch, chars)
 	if err != nil {
 		return Variant{}, perfmodel.Projection{}, fmt.Errorf("transform: kernel %q: %w", k.Name, err)
 	}
@@ -531,21 +550,4 @@ func BestCtx(ctx context.Context, k *skeleton.Kernel, arch gpu.Arch) (Variant, p
 	e.mu.Unlock()
 	span.SetAttr(trace.String("variant", e.variants[idx].Name))
 	return e.variants[idx], proj, nil
-}
-
-// parallelThreshold is the candidate count below which the projection
-// stays sequential: spawning workers costs more than projecting a
-// handful of candidates.
-const parallelThreshold = 16
-
-// bestWorkers sizes the candidate-evaluation worker pool.
-func bestWorkers(candidates int) int {
-	if candidates < parallelThreshold {
-		return 1
-	}
-	w := runtime.GOMAXPROCS(0)
-	if w > 8 {
-		w = 8
-	}
-	return w
 }
